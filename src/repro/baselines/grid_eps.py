@@ -110,6 +110,15 @@ class GridPartitioning(Partitioning):
     The task universe (occupied cells) is established from the full
     input at construction (metric bookkeeping, not optimization — the
     grid itself needs no statistics, which is Grid-eps's selling point).
+
+    Task ids are the occupied cells' ranks in lexicographic order, built
+    one dimension at a time: after dimension i, a row's key is the rank
+    of its prefix ``(c_0..c_i)`` among the occupied prefixes, computed as
+    the rank of ``key * R_i + (c_i - lo_i)`` where ``[lo_i, lo_i + R_i)``
+    is the dimension's occupied cell range. Re-ranking keeps every key
+    below ``n_tasks``, so the mixed-radix step cannot overflow where a
+    raw ``prod(R_i)`` key would (d=8 spans reach 10^20 and more), and
+    the key stays exact: no two cells share a task.
     """
 
     def __init__(
@@ -128,21 +137,57 @@ class GridPartitioning(Partitioning):
         self.w = int(w)
         self.seed = int(seed)
         both = np.vstack([S_pts, T_pts]).astype(float)
-        self.origin = both.min(axis=0) - self.eps - self.cell
+        if not np.isfinite(both).all():
+            raise ValueError("Grid-eps needs finite coordinates (got NaN or inf)")
+        low = both.min(axis=0) if len(both) else np.zeros(both.shape[1])
+        self.origin = low - self.eps - self.cell
+        top = (both.max(axis=0) + self.eps - self.origin) / self.cell if len(both) else 0
+        if np.max(top) >= 2.0**62:
+            raise ValueError("Grid-eps cell indices exceed the int64 range; use larger cells")
         cs = np.floor((S_pts - self.origin) / self.cell).astype(np.int64)
         _, ct = expand_t_cells(T_pts.astype(float), self.eps, self.cell, self.origin)
-        self._cells = np.unique(np.vstack([cs, ct]), axis=0)
-        self.n_tasks = len(self._cells)
+        rows = np.vstack([cs, ct])
+        d = rows.shape[1]
+        self._lo = rows.min(axis=0) if len(rows) else np.zeros(d, np.int64)
+        self._radix = rows.max(axis=0) - self._lo + 1 if len(rows) else np.ones(d, np.int64)
+        # _levels[i]: sorted distinct prefix keys after dimension i
+        self._levels: list[np.ndarray] = []
+        key = np.zeros(len(rows), np.int64)
+        for i in range(d):
+            n_prefixes = len(self._levels[-1]) if i else 1
+            if n_prefixes * int(self._radix[i]) > 2**63:
+                raise ValueError("Grid-eps cell key would overflow int64")
+            level, key = np.unique(
+                key * self._radix[i] + (rows[:, i] - self._lo[i]), return_inverse=True
+            )
+            self._levels.append(level)
+        self.n_tasks = len(self._levels[-1])
+        self._cells = self._decode()
         self.task_to_worker = _mix_rows(self._cells, self.w, seed)
+
+    def _decode(self) -> np.ndarray:
+        """Cell coordinate rows of tasks 0..n_tasks-1 (lexicographic)."""
+        cells = np.empty((self.n_tasks, len(self._levels)), np.int64)
+        prefix = np.arange(self.n_tasks)
+        for i in range(len(self._levels) - 1, -1, -1):
+            packed = self._levels[i][prefix]
+            cells[:, i] = self._lo[i] + packed % self._radix[i]
+            prefix = packed // self._radix[i]
+        return cells
 
     def _lookup(self, cells: np.ndarray) -> np.ndarray:
         """Map cell coordinate rows to task ids (rows must be occupied)."""
-        merged, inverse = np.unique(
-            np.vstack([self._cells, cells]), axis=0, return_inverse=True
-        )
-        if len(merged) != self.n_tasks:
-            raise KeyError("assign() saw a grid cell absent from construction data")
-        return inverse[self.n_tasks:]
+        key = np.zeros(len(cells), np.int64)
+        for i, level in enumerate(self._levels):
+            c = cells[:, i]
+            inside = (c >= self._lo[i]) & (c < self._lo[i] + self._radix[i])
+            packed = key * self._radix[i] + np.where(inside, c - self._lo[i], 0)
+            key = np.searchsorted(level, packed)
+            found = inside & (key < len(level))
+            found[found] = level[key[found]] == packed[found]
+            if not found.all():
+                raise KeyError("assign() saw a grid cell absent from construction data")
+        return key
 
     def assign(self, points, side, ids=None):
         points = np.asarray(points, dtype=float)

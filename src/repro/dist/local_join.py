@@ -35,8 +35,6 @@ def band_join_tasks(
     task_t: np.ndarray,
     pts_t: np.ndarray,
     eps: np.ndarray,
-    ids_s: np.ndarray | None = None,
-    ids_t: np.ndarray | None = None,
     produce_pairs: bool = False,
     chunk_candidates: int = 8_000_000,
 ):

@@ -65,25 +65,93 @@ class Partitioning(abc.ABC):
         return (uniq // self.w).astype(np.int64), (uniq % self.w).astype(np.int64)
 
 
+#: a run of at least this many times w consecutive equal loads (in LPT
+#: order) is assigned in one vectorized step instead of one heap pop each
+_BATCH_RUN_PER_WORKER = 4
+#: at most this many tasks per vectorized step, which bounds its
+#: (w x candidates) table when one worker takes most of a run
+_BATCH_MAX = 1 << 16
+
+
 def lpt_schedule(task_loads: np.ndarray, w: int) -> np.ndarray:
     """Greedy longest-processing-time assignment of tasks to w workers.
 
     Sort tasks by load descending, always give the next task to the
-    currently least-loaded worker. Returns task->worker map.
-    """
-    import heapq
+    currently least-loaded worker (ties: lowest worker id). Returns
+    task->worker map.
 
-    n = len(task_loads)
+    Long runs of equal loads (Grid-eps's many one-cell tasks) skip the
+    per-task heap: see :func:`_lpt_run`. The schedule is identical to the
+    plain heap loop's.
+    """
+    loads = np.asarray(task_loads, dtype=float)
+    n = len(loads)
     out = np.zeros(n, dtype=np.int64)
     if n == 0:
         return out
-    heap = [(0.0, i) for i in range(w)]
-    heapq.heapify(heap)
-    for t in np.argsort(-np.asarray(task_loads, dtype=float)):
-        load, wk = heapq.heappop(heap)
-        out[t] = wk
-        heapq.heappush(heap, (load + float(task_loads[t]), wk))
+    order = np.argsort(-loads)
+    sorted_loads = loads[order]
+    starts = np.flatnonzero(np.concatenate([[True], sorted_loads[1:] != sorted_loads[:-1]]))
+    ends = np.append(starts[1:], n)
+    batched = (ends - starts >= _BATCH_RUN_PER_WORKER * w) & (sorted_loads[starts] >= 0)
+    worker_load = np.zeros(w)
+    done = 0
+    for a, b in zip(starts[batched].tolist(), ends[batched].tolist()):
+        _lpt_heap(order[done:a], sorted_loads[done:a], worker_load, out)
+        for c in range(a, b, _BATCH_MAX):
+            e = min(b, c + _BATCH_MAX)
+            out[order[c:e]] = _lpt_run(worker_load, sorted_loads[a], e - c)
+        done = b
+    _lpt_heap(order[done:], sorted_loads[done:], worker_load, out)
     return out
+
+
+def _lpt_heap(tasks: np.ndarray, loads: np.ndarray, worker_load: np.ndarray, out: np.ndarray):
+    """LPT one task at a time with a heap of (load, worker); updates
+    ``worker_load`` and ``out`` in place."""
+    import heapq
+
+    heap = [(load, wk) for wk, load in enumerate(worker_load.tolist())]
+    heapq.heapify(heap)
+    picked = []
+    for load in loads.tolist():
+        cur, wk = heapq.heappop(heap)
+        picked.append(wk)
+        heapq.heappush(heap, (cur + load, wk))
+    out[tasks] = picked
+    for cur, wk in heap:
+        worker_load[wk] = cur
+
+
+def _lpt_run(worker_load: np.ndarray, load: float, m: int) -> np.ndarray:
+    """Workers for m consecutive tasks of equal ``load`` >= 0, exactly as
+    the heap would pick them; updates ``worker_load`` in place.
+
+    Worker j's successive heap values are ``v_j, v_j+load, v_j+load+load,
+    ...``, non-decreasing, so the heap's m pops are the m smallest
+    (value, worker) pairs over all workers' sequences, in order. The
+    sequences are built by ``cumsum``, whose sequential adds round like
+    the heap's repeated adds. A worker whose candidates all got picked
+    might have had more: then the step is redone with twice as many.
+    """
+    w = len(worker_load)
+    if load == 0:
+        return np.full(m, int(np.argmin(worker_load)), dtype=np.int64)
+    k = m // w + 2
+    while True:
+        k = min(k, m + 1)
+        seq = np.empty((w, k))
+        seq[:, 0] = worker_load
+        seq[:, 1:] = load
+        np.cumsum(seq, axis=1, out=seq)
+        # a stable sort of the row-major table orders ties by worker
+        who = np.argsort(seq.ravel(), kind="stable")[:m] // k
+        used = np.bincount(who, minlength=w)
+        if used.max() < k:
+            break
+        k *= 2
+    worker_load[:] = seq[np.arange(w), used]
+    return who
 
 
 def hash_ids(ids: np.ndarray, seed: int, mod: int) -> np.ndarray:

@@ -10,7 +10,7 @@ Method names: ``recpart`` (symmetric), ``recpart_s``, ``csio``,
 ``one_bucket``, ``grid_eps``, ``grid_star``, ``iejoin:<sizePerBlock>``.
 
 RecPart runs with the *theoretical* termination rule by default: at
-1/1000 input scale our sample estimates are noisier than the paper's,
+1/2000 input scale our sample estimates are noisier than the paper's,
 which makes the applied 1%-window rule stop early; both rules are
 implemented (``core.recpart``) and exercised by tests and Table 16.
 """
@@ -163,8 +163,9 @@ def run_method(
     )
     if method == "grid_eps":
         # Grid-eps needs no statistics or search — the paper credits it
-        # with near-zero optimization cost; our constructor's cell-dict
-        # scan is simulator bookkeeping, not optimization.
+        # with near-zero optimization cost; our constructor's ranking of
+        # occupied cells into task ids is simulator bookkeeping, not
+        # optimization.
         opt_time = 0.0
     ev = evaluate_partitioning(part, S, T, eps, beta2=cm.b2, beta3=cm.b3)
     t_est = cm.predict(ev.I, ev.I_m, ev.O_m)

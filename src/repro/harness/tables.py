@@ -5,7 +5,7 @@ tables: ``runtime (opt+join) | relative time vs RecPart-S | I, I_m, O_m``.
 ``PAPER`` holds the paper's numbers (inputs/outputs in millions of
 tuples, times in seconds on 30 m3.xlarge EMR nodes) so every job can
 print them next to ours and EXPERIMENTS.md can record the diff. Our
-absolute numbers are at 1/1000 input scale with re-calibrated band
+absolute numbers are at 1/2000 input scale with re-calibrated band
 widths (DESIGN.md §3); the comparison target is the *shape*: who wins,
 by what factor, and where duplication explodes.
 """

@@ -114,7 +114,7 @@ def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> 
 # --------------------------------------------------------------------------
 # Band-join datasets for the RecPart reproduction (paper Section 6.1).
 #
-# The paper's inputs are 200-800 million tuples; we reproduce at 1/1000
+# The paper's inputs are 200-800 million tuples; we reproduce at 1/2000
 # scale (see DESIGN.md Section 3). Generators return float numpy arrays of
 # shape (n, d); `to_spark` wraps them as DataFrames with a unique `id`.
 # --------------------------------------------------------------------------

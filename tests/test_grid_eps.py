@@ -1,5 +1,7 @@
 """Tests for Grid-eps / Grid* attribute-space grid partitioning,
 including the paper's Lemmas 2 and 3."""
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,50 @@ class TestGridPartitioning:
         part = GridPartitioning(S, S, np.array([10.0]), np.array([10.0]), 4)
         with pytest.raises(KeyError):
             part.assign(np.array([[1e12]]), "S")
+        # d=3, two far-apart points: the box between them is unoccupied
+        S = np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]])
+        eps = np.full(3, 1.0)
+        part = GridPartitioning(S, S, eps, eps, 4)
+        with pytest.raises(KeyError):
+            part.assign(np.array([[50.0, 50.0, 50.0]]), "S")
+        with pytest.raises(KeyError):
+            part.assign(np.array([[0.0, 100.0, 0.0]]), "S")
+        part.assign(S, "S")  # occupied cells still resolve
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["S", "T"])
+    def test_non_finite_coordinates_rejected(self, bad, side):
+        pts = pareto_points(50, 1.5, 2, seed=25)
+        dirty = pts.copy()
+        dirty[7, 1] = bad
+        S, T = (dirty, pts) if side == "S" else (pts, dirty)
+        with pytest.raises(ValueError, match="finite"):
+            GridPartitioning(S, T, np.full(2, 30.0), np.full(2, 30.0), 4)
+
+    def test_cell_index_beyond_int64_rejected(self):
+        S = np.array([[0.0], [1e30]])
+        with pytest.raises(ValueError, match="int64"):
+            GridPartitioning(S, S, np.array([1.0]), np.array([1.0]), 4)
+
+    @pytest.mark.parametrize("empty", ["S", "T"])
+    def test_one_empty_relation(self, empty):
+        pts = pareto_points(200, 1.5, 2, seed=26)
+        none = np.empty((0, 2))
+        S, T = (none, pts) if empty == "S" else (pts, none)
+        eps = np.full(2, 30.0)
+        part = GridPartitioning(S, T, eps, eps, 4)
+        assert part.n_tasks > 0
+        ev = evaluate_partitioning(part, S, T, eps)
+        assert ev.O_total == 0
+        assert ev.I == len(S) + len(part.assign(T, "T")[0])
+
+    def test_both_relations_empty(self):
+        none = np.empty((0, 2))
+        part = GridPartitioning(none, none, np.full(2, 1.0), np.full(2, 1.0), 4)
+        assert part.n_tasks == 0
+        assert len(part.task_to_worker) == 0
+        idx, task = part.assign(none, "T")
+        assert len(idx) == len(task) == 0
 
     def test_coarser_grid_less_duplication(self):
         S = pareto_points(2000, 1.5, 2, seed=10)
@@ -95,6 +141,27 @@ class TestGridPartitioning:
         fine = GridPartitioning(S, T, eps, eps, 8)
         coarse = GridPartitioning(S, T, eps, 8 * eps, 8)
         assert len(coarse.assign(T, "T")[0]) < len(fine.assign(T, "T")[0])
+
+
+class TestCellKey:
+    def test_task_ids_equal_lexicographic_row_ranks_at_d8(self):
+        # d=8: the product of the per-dimension cell spans overflows int64,
+        # so a raw mixed-radix key could not index these cells
+        S = pareto_points(400, 1.5, 8, seed=1)
+        T = pareto_points(400, 1.5, 8, seed=2)
+        eps = np.full(8, 400.0)
+        part = GridPartitioning(S, T, eps, eps, 30)
+        cs = np.floor((S - part.origin) / part.cell).astype(np.int64)
+        _, ct = expand_t_cells(T, eps, eps, part.origin)
+        rows = np.vstack([cs, ct])
+        spans = rows.max(axis=0) - rows.min(axis=0) + 1
+        assert math.prod(int(x) for x in spans) > 2**63
+        want_cells, want_ids = np.unique(rows, axis=0, return_inverse=True)
+        assert part.n_tasks == len(want_cells)
+        assert np.array_equal(part._cells, want_cells)
+        _, st = part.assign(S, "S")
+        _, tt = part.assign(T, "T")
+        assert np.array_equal(np.concatenate([st, tt]), want_ids.ravel())
 
 
 class TestLemmas:

@@ -1,10 +1,60 @@
 """Tests for the partitioning base: LPT scheduling, id hashing, and
 worker-level de-duplication."""
+import heapq
+
 import numpy as np
 import pytest
 
+from repro.baselines.grid_eps import GridPartitioning
 from repro.baselines.one_bucket import OneBucketPartitioning
+from repro.dist.local_join import band_join_tasks
 from repro.dist.partitioning import hash_ids, lpt_schedule
+from repro.synth_data import pareto_points
+
+
+def reference_lpt(task_loads, w):
+    """Graham's LPT, one heap pop per task: tasks in argsort(-load)
+    order, each to the worker with the least (load, worker id)."""
+    loads = np.asarray(task_loads, dtype=float)
+    out = np.zeros(len(loads), dtype=np.int64)
+    heap = [(0.0, wk) for wk in range(w)]
+    for t in np.argsort(-loads):
+        load, wk = heapq.heappop(heap)
+        out[t] = wk
+        heapq.heappush(heap, (load + float(loads[t]), wk))
+    return out
+
+
+def _grid_task_loads(beta2, beta3):
+    S = pareto_points(3000, 1.5, 3, seed=1)
+    T = pareto_points(3000, 1.5, 3, seed=2)
+    eps = np.full(3, 35.0)
+    part = GridPartitioning(S, T, eps, eps, 30)
+    si, st = part.assign(S, "S")
+    ti, tt = part.assign(T, "T")
+    per_s, _ = band_join_tasks(st, S[si], tt, T[ti], eps)
+    n_in = np.bincount(st, minlength=part.n_tasks) + np.bincount(tt, minlength=part.n_tasks)
+    n_out = np.bincount(st, weights=per_s, minlength=part.n_tasks)
+    return beta2 * n_in + beta3 * n_out
+
+
+LPT_CASES = {
+    "grid_beta2_4": lambda: _grid_task_loads(4.0, 1.0),
+    "grid_beta_nonint": lambda: _grid_task_loads(0.37, 0.013),
+    "random_int_500k": lambda: np.random.default_rng(0).integers(0, 50, 500_000).astype(float),
+    "absorbed_tiny": lambda: np.concatenate(
+        [np.full(3, 1e6), np.full(5000, 1e-17), [5e5], np.full(700, 1e-17)]
+    ),
+    "all_zero": lambda: np.zeros(2000),
+    "distinct_and_runs": lambda: np.concatenate([
+        np.random.default_rng(1).random(400) * 100,
+        np.full(3000, 7.0),
+        np.full(250, 2.5),
+        np.full(5000, 0.37 * 3 + 0.013),
+        np.random.default_rng(2).integers(1, 4, 6000).astype(float),
+        np.zeros(500),
+    ]),
+}
 
 
 class TestLpt:
@@ -38,6 +88,19 @@ class TestLpt:
         tw = lpt_schedule(loads, 2)
         heavy_worker = tw[0]
         assert all(tw[i] != heavy_worker for i in (1, 2, 3))
+
+    @pytest.mark.parametrize("w", [1, 30, 60])
+    @pytest.mark.parametrize("case", sorted(LPT_CASES))
+    def test_equals_heap_reference(self, case, w):
+        loads = LPT_CASES[case]()
+        assert np.array_equal(lpt_schedule(loads, w), reference_lpt(loads, w))
+
+    def test_one_worker_takes_a_whole_run(self):
+        # the one worker without a 1e5 task stays lowest through all 50k unit tasks
+        loads = np.concatenate([np.full(29, 1e5), np.ones(50_000)])
+        tw = lpt_schedule(loads, 30)
+        assert np.array_equal(tw, reference_lpt(loads, 30))
+        assert set(tw[29:].tolist()) == {int(np.setdiff1d(np.arange(30), tw[:29])[0])}
 
 
 class TestHashIds:
