@@ -22,8 +22,10 @@ The state of the art for distributed theta-joins before RecPart:
 An S-tuple is shipped to every rectangle that covers a relevant cell in
 its stripe's row; correctness: relevant cells partition among disjoint
 rectangles, so each joining pair meets in exactly one rectangle.
-Stripes with no relevant cells join nothing and are spread round-robin
-over per-worker sink tasks (Definition 1 still ships every tuple once).
+Coverage: the outer stripe bounds are ±inf, so each side's stripes tile
+the real line; every stripe therefore overlaps a stripe of the other
+side, has a relevant cell and ships its tuples to at least one rectangle
+(Definition 1).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from ..core.cost_model import CostModel
 from ..core.sampling import Samples, draw_samples
-from ..dist.partitioning import Partitioning, lpt_schedule
+from ..dist.partitioning import Partitioning, expand_ranges, lpt_schedule
 
 
 def _quantile_boundaries(col: np.ndarray, g: int) -> np.ndarray:
@@ -43,47 +45,70 @@ def _quantile_boundaries(col: np.ndarray, g: int) -> np.ndarray:
     return np.quantile(col, np.arange(1, g) / g)
 
 
-class _Csr:
-    """Row -> list-of-tasks lookup in CSR form for vectorized assign."""
+def stripe_stats(bnd_s: np.ndarray, bnd_t: np.ndarray, eps0: float, samples: Samples):
+    """Relevance and load estimates of the matrix of A_1 stripes.
 
-    def __init__(self, lists: list[list[int]]):
-        counts = np.array([len(l) for l in lists], dtype=np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.tasks = np.array(
-            [t for l in lists for t in l], dtype=np.int64
-        ) if len(self.indptr) and self.indptr[-1] else np.empty(0, np.int64)
+    S stripe i is ``[bnd_s[i-1], bnd_s[i])`` with ±inf outer bounds, so
+    each side's stripes tile the real line. Returns ``(R, s_in, t_in,
+    o_cells)``: ``R[i, j]`` iff S stripe i and T stripe j are within
+    ``eps0`` of each other (exact relevance on A_1); ``s_in``/``t_in``
+    estimate each stripe's input in tuples; ``o_cells[i, j]`` estimates
+    the output of cell (i, j) from the output sample.
+    """
+    gs, gt = len(bnd_s) + 1, len(bnd_t) + 1
+    lo_s = np.concatenate([[-np.inf], bnd_s])
+    hi_s = np.concatenate([bnd_s, [np.inf]])
+    lo_t = np.concatenate([[-np.inf], bnd_t])
+    hi_t = np.concatenate([bnd_t, [np.inf]])
+    R = ~(
+        (lo_t[None, :] > hi_s[:, None] + eps0)
+        | (hi_t[None, :] < lo_s[:, None] - eps0)
+    )
+    s_in = np.bincount(
+        np.searchsorted(bnd_s, samples.s_pts[:, 0], side="right"), minlength=gs
+    ) * samples.sw_s
+    t_in = np.bincount(
+        np.searchsorted(bnd_t, samples.t_pts[:, 0], side="right"), minlength=gt
+    ) * samples.sw_t
+    o_cells = np.zeros((gs, gt))
+    oi = np.searchsorted(bnd_s, samples.o_s[:, 0], side="right")
+    oj = np.searchsorted(bnd_t, samples.o_t[:, 0], side="right")
+    np.add.at(o_cells, (oi, oj), samples.sw_o)
+    return R, s_in, t_in, o_cells
 
-    def expand(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        idx = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        n = int(counts.sum())
-        offs = np.arange(n) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        tasks = self.tasks[np.repeat(self.indptr[rows], counts) + offs]
-        return idx, tasks
+
+def _stripe_csr(stripe: np.ndarray, task: np.ndarray, n_stripes: int, n_tasks: int):
+    """CSR ``(indptr, tasks)`` of the distinct tasks of each stripe,
+    ascending within a stripe."""
+    key = np.unique(stripe.astype(np.int64) * n_tasks + task)
+    return np.searchsorted(key, np.arange(n_stripes + 1) * n_tasks), key % n_tasks
 
 
-class CSIOPartitioning(Partitioning):
-    def __init__(self, bnd_s, bnd_t, row_tasks, col_tasks, rect_loads, w, n_sink):
+class StripePartitioning(Partitioning):
+    """Tasks over the matrix of A_1 stripes (CS_IO rectangles, IEJoin
+    block pairs).
+
+    ``cells`` (m, 2) lists the relevant (S stripe, T stripe) cells and
+    ``cell_task`` the task owning each; a tuple goes to every task that
+    owns a cell of its stripe. Tasks are scheduled by LPT on
+    ``task_loads``.
+    """
+
+    def __init__(self, bnd_s, bnd_t, cells, cell_task, task_loads, w):
         self.bnd_s = bnd_s
         self.bnd_t = bnd_t
-        self._rows = _Csr(row_tasks)
-        self._cols = _Csr(col_tasks)
         self.w = int(w)
-        self.n_tasks = len(rect_loads) + n_sink
-        tw = lpt_schedule(np.asarray(rect_loads, float), w)
-        sink = np.arange(n_sink, dtype=np.int64) % w
-        self.task_to_worker = np.concatenate([tw, sink]).astype(np.int64)
+        self.n_tasks = len(task_loads)
+        self._s = _stripe_csr(cells[:, 0], cell_task, len(bnd_s) + 1, self.n_tasks)
+        self._t = _stripe_csr(cells[:, 1], cell_task, len(bnd_t) + 1, self.n_tasks)
+        self.task_to_worker = lpt_schedule(np.asarray(task_loads, float), self.w)
 
     def assign(self, points, side, ids=None):
-        points = np.asarray(points, dtype=float)
-        x = points[:, 0]
-        if side == "S":
-            stripes = np.searchsorted(self.bnd_s, x, side="right")
-            return self._rows.expand(stripes)
-        stripes = np.searchsorted(self.bnd_t, x, side="right")
-        return self._cols.expand(stripes)
+        x = np.asarray(points, dtype=float)[:, 0]
+        bnd, (indptr, tasks) = (self.bnd_s, self._s) if side == "S" else (self.bnd_t, self._t)
+        stripe = np.searchsorted(bnd, x, side="right")
+        idx, pos = expand_ranges(indptr[stripe], indptr[stripe + 1])
+        return idx, tasks[pos]
 
 
 def build_csio(
@@ -95,7 +120,7 @@ def build_csio(
     g: int | None = None,
     samples: Samples | None = None,
     seed: int = 0,
-) -> CSIOPartitioning:
+) -> StripePartitioning:
     """Construct the CS_IO partitioning from samples of S and T."""
     eps = np.asarray(eps, dtype=float)
     cm = cost_model or CostModel()
@@ -106,30 +131,8 @@ def build_csio(
     g = g or max(16, 2 * w)
     bnd_s = _quantile_boundaries(samples.s_pts[:, 0], g)
     bnd_t = _quantile_boundaries(samples.t_pts[:, 0], g)
-    gs, gt = len(bnd_s) + 1, len(bnd_t) + 1
-    neg, pos = -np.inf, np.inf
-    lo_s = np.concatenate([[neg], bnd_s])
-    hi_s = np.concatenate([bnd_s, [pos]])
-    lo_t = np.concatenate([[neg], bnd_t])
-    hi_t = np.concatenate([bnd_t, [pos]])
-    # exact stripe relevance on A_1 (row-major linearization)
-    R = ~(
-        (lo_t[None, :] > hi_s[:, None] + eps[0])
-        | (hi_t[None, :] < lo_s[:, None] - eps[0])
-    )
-
-    # stripe input estimates (tuples) and per-cell output estimates
-    s_in = np.bincount(
-        np.searchsorted(bnd_s, samples.s_pts[:, 0], side="right"), minlength=gs
-    ) * samples.sw_s
-    t_in = np.bincount(
-        np.searchsorted(bnd_t, samples.t_pts[:, 0], side="right"), minlength=gt
-    ) * samples.sw_t
-    o_cells = np.zeros((gs, gt))
-    if len(samples.o_s):
-        oi = np.searchsorted(bnd_s, samples.o_s[:, 0], side="right")
-        oj = np.searchsorted(bnd_t, samples.o_t[:, 0], side="right")
-        np.add.at(o_cells, (oi, oj), samples.sw_o)
+    R, s_in, t_in, o_cells = stripe_stats(bnd_s, bnd_t, eps[0], samples)
+    gs, gt = R.shape
     o_row_prefix = np.vstack([np.zeros(gt), np.cumsum(o_cells, axis=0)])
 
     def pack_strip(i: int, h: int, cap: float):
@@ -137,8 +140,6 @@ def build_csio(
         Returns (list of (r1, r2, cols_array), covered_cells) or None."""
         rows = slice(i, i + h)
         rel_cols = np.flatnonzero(R[rows].any(axis=0))
-        if len(rel_cols) == 0:
-            return [], 0
         s_load = cm.b2 * s_in[rows].sum()
         out_cols = o_row_prefix[i + h] - o_row_prefix[i]
         rects, cur, cur_load = [], [], s_load
@@ -160,16 +161,13 @@ def build_csio(
         rects = []
         i = 0
         while i < gs:
-            if not R[i].any():
-                i += 1
-                continue
             best = None
             for h in range(1, gs - i + 1):
                 got = pack_strip(i, h, cap)
                 if got is None:
                     break
                 strip_rects, covered = got
-                score = covered / max(1, len(strip_rects))
+                score = covered / len(strip_rects)
                 if best is None or score > best[0]:
                     best = (score, h, strip_rects)
             if best is None:
@@ -181,13 +179,9 @@ def build_csio(
         return rects
 
     # binary search the smallest feasible load cap with <= w rectangles
-    cell_min = 0.0
-    rel_cells = np.argwhere(R)
-    if len(rel_cells):
-        loads = cm.b2 * (s_in[rel_cells[:, 0]] + t_in[rel_cells[:, 1]]) + cm.b3 * o_cells[
-            rel_cells[:, 0], rel_cells[:, 1]
-        ]
-        cell_min = float(loads.max())
+    cells = np.argwhere(R)
+    cell_loads = cm.b2 * (s_in[cells[:, 0]] + t_in[cells[:, 1]]) + cm.b3 * o_cells[R]
+    cell_min = float(cell_loads.max())
     total = cm.b2 * (s_in.sum() + t_in.sum()) + cm.b3 * o_cells.sum()
     lo_cap, hi_cap = cell_min, max(total, cell_min) * 2 + 1.0
     best_rects = cover(hi_cap)
@@ -200,35 +194,18 @@ def build_csio(
         else:
             lo_cap = mid
 
-    # materialize row->tasks / col->tasks and rect loads
-    row_tasks: list[list[int]] = [[] for _ in range(gs)]
-    col_tasks: list[list[int]] = [[] for _ in range(gt)]
+    # rectangle of each relevant cell, and rectangle loads
+    cell_rect = np.full(R.shape, -1, dtype=np.int64)
     rect_loads = []
     for k, (r1, r2, cols) in enumerate(best_rects):
+        cell_rect[r1:r2, cols] = k
+        rel = R[r1:r2, cols]
+        o_strip = o_row_prefix[r2] - o_row_prefix[r1]
         load = 0.0
-        for i in range(r1, r2):
-            if R[i, cols].any():
-                row_tasks[i].append(k)
-                load += cm.b2 * s_in[i]
-        for j in cols:
-            if R[r1:r2, j].any():
-                col_tasks[int(j)].append(k)
-                load += cm.b2 * t_in[j]
-                load += cm.b3 * float((o_row_prefix[r2] - o_row_prefix[r1])[j])
+        for i in r1 + np.flatnonzero(rel.any(axis=1)):
+            load += cm.b2 * s_in[i]
+        for j in cols[rel.any(axis=0)]:
+            load += cm.b2 * t_in[j]
+            load += cm.b3 * float(o_strip[j])
         rect_loads.append(load)
-
-    # sink tasks for stripes that can join nothing (Definition 1 coverage)
-    n_sink = 0
-    base = len(best_rects)
-    for i in range(gs):
-        if not row_tasks[i]:
-            row_tasks[i] = [base + (n_sink % w)]
-            n_sink += 1
-    for j in range(gt):
-        if not col_tasks[j]:
-            col_tasks[j] = [base + (n_sink % w)]
-            n_sink += 1
-    n_sink = min(n_sink, w) if n_sink else 0
-    return CSIOPartitioning(
-        bnd_s, bnd_t, row_tasks, col_tasks, rect_loads, w, n_sink
-    )
+    return StripePartitioning(bnd_s, bnd_t, cells, cell_rect[R], rect_loads, w)

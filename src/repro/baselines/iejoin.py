@@ -11,18 +11,22 @@ dense regions and blocks belonging to many joinable pairs are duplicated
 to many workers, so input duplication is high and quite sensitive to the
 sizePerBlock meta-parameter (paper Tables 7/11).
 
-Local joins run per block pair, so each output pair is produced exactly
-once (its (S-block, T-block) pair is a single task).
+Blocks are CS_IO's A_1 stripes (:class:`StripePartitioning`) with one
+task per joinable cell. Local joins run per block pair, so each output
+pair is produced exactly once (its (S-block, T-block) pair is a single
+task). The outer block bounds are ±inf, so each side's blocks tile the
+real line and every block is joinable with at least one block of the
+other side: every tuple is shipped (Definition 1).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..core.sampling import Samples, draw_samples
-from ..dist.partitioning import Partitioning, lpt_schedule
+from .csio import StripePartitioning, stripe_stats
 
 
-class IEJoinPartitioning(Partitioning):
+class IEJoinPartitioning(StripePartitioning):
     def __init__(
         self,
         S_pts: np.ndarray,
@@ -36,7 +40,6 @@ class IEJoinPartitioning(Partitioning):
         seed: int = 0,
     ):
         eps = np.asarray(eps, dtype=float)
-        self.w = int(w)
         n_s, n_t = len(S_pts), len(T_pts)
         if samples is None:
             samples = draw_samples(
@@ -44,63 +47,14 @@ class IEJoinPartitioning(Partitioning):
             )
         nb_s = max(1, int(np.ceil(n_s / size_per_block)))
         nb_t = max(1, int(np.ceil(n_t / size_per_block)))
-        self.bnd_s = np.unique(
+        bnd_s = np.unique(
             np.quantile(samples.s_pts[:, 0], np.arange(1, nb_s) / nb_s)
         ) if nb_s > 1 else np.empty(0)
-        self.bnd_t = np.unique(
+        bnd_t = np.unique(
             np.quantile(samples.t_pts[:, 0], np.arange(1, nb_t) / nb_t)
         ) if nb_t > 1 else np.empty(0)
-        gs, gt = len(self.bnd_s) + 1, len(self.bnd_t) + 1
-        lo_s = np.concatenate([[-np.inf], self.bnd_s])
-        hi_s = np.concatenate([self.bnd_s, [np.inf]])
-        lo_t = np.concatenate([[-np.inf], self.bnd_t])
-        hi_t = np.concatenate([self.bnd_t, [np.inf]])
-        joinable = ~(
-            (lo_t[None, :] > hi_s[:, None] + eps[0])
-            | (hi_t[None, :] < lo_s[:, None] - eps[0])
-        )
-        pairs = np.argwhere(joinable)  # (n_tasks, 2): (S block, T block)
-        self._pair_of_srow = [np.flatnonzero(pairs[:, 0] == i) for i in range(gs)]
-        self._pair_of_tcol = [np.flatnonzero(pairs[:, 1] == j) for j in range(gt)]
-        self.n_tasks = max(1, len(pairs))
-        # sink when an input block joins nothing (Definition 1 coverage):
-        # route it to task 0 via empty pair lists handled in assign below.
-        s_cnt = np.bincount(
-            np.searchsorted(self.bnd_s, samples.s_pts[:, 0], "right"), minlength=gs
-        ) * samples.sw_s
-        t_cnt = np.bincount(
-            np.searchsorted(self.bnd_t, samples.t_pts[:, 0], "right"), minlength=gt
-        ) * samples.sw_t
-        o_load = np.zeros(len(pairs))
-        if len(samples.o_s) and len(pairs):
-            oi = np.searchsorted(self.bnd_s, samples.o_s[:, 0], "right")
-            oj = np.searchsorted(self.bnd_t, samples.o_t[:, 0], "right")
-            key = oi * gt + oj
-            pair_key = pairs[:, 0] * gt + pairs[:, 1]
-            order = np.argsort(pair_key)
-            pos = np.searchsorted(pair_key[order], key)
-            ok = (pos < len(pairs)) & (pair_key[order][np.minimum(pos, len(pairs) - 1)] == key)
-            np.add.at(o_load, order[pos[ok]], samples.sw_o)
-        loads = (
-            beta2 * (s_cnt[pairs[:, 0]] + t_cnt[pairs[:, 1]]) + beta3 * o_load
-            if len(pairs)
-            else np.ones(1)
-        )
-        self.task_to_worker = lpt_schedule(loads, self.w)
-
-    def _expand(self, blocks: np.ndarray, table: list[np.ndarray]):
-        counts = np.array([len(table[b]) for b in blocks], dtype=np.int64)
-        idx = np.repeat(np.arange(len(blocks), dtype=np.int64), np.maximum(counts, 1))
-        tasks = np.concatenate(
-            [table[b] if len(table[b]) else np.zeros(1, np.int64) for b in blocks]
-        ) if len(blocks) else np.empty(0, np.int64)
-        return idx, tasks
-
-    def assign(self, points, side, ids=None):
-        points = np.asarray(points, dtype=float)
-        x = points[:, 0]
-        if side == "S":
-            blocks = np.searchsorted(self.bnd_s, x, side="right")
-            return self._expand(blocks, self._pair_of_srow)
-        blocks = np.searchsorted(self.bnd_t, x, side="right")
-        return self._expand(blocks, self._pair_of_tcol)
+        joinable, s_cnt, t_cnt, o_cells = stripe_stats(bnd_s, bnd_t, eps[0], samples)
+        pairs = np.argwhere(joinable)  # task k = (S block, T block) pairs[k]
+        bs, bt = pairs[:, 0], pairs[:, 1]
+        loads = beta2 * (s_cnt[bs] + t_cnt[bt]) + beta3 * o_cells[bs, bt]
+        super().__init__(bnd_s, bnd_t, pairs, np.arange(len(pairs)), loads, w)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dist.partitioning import Partitioning, hash_ids
+from ..dist.partitioning import Partitioning, matrix_cells
 
 
 def choose_grid(n_s: int, n_t: int, w: int) -> tuple[int, int]:
@@ -49,14 +49,6 @@ class OneBucketPartitioning(Partitioning):
         self.task_to_worker = np.arange(self.n_tasks, dtype=np.int64)
 
     def assign(self, points, side, ids=None):
-        n = len(points)
         if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        if side == "S":
-            row = hash_ids(ids, self.seed, self.r)
-            tasks = (row[:, None] * self.c + np.arange(self.c)[None, :]).ravel()
-            return np.repeat(idx, self.c), tasks
-        col = hash_ids(ids, self.seed + 7919, self.c)
-        tasks = (np.arange(self.r)[None, :] * self.c + col[:, None]).ravel()
-        return np.repeat(idx, self.r), tasks
+            ids = np.arange(len(points), dtype=np.int64)
+        return matrix_cells(ids, side, self.r, self.c, self.seed)

@@ -10,10 +10,11 @@ fit by linear regression on a small benchmark of profiled runs
 * Table 13 normalizes ``b1 = 1`` and sweeps ``b2`` to study the
   shuffle-vs-local-compute tradeoff.
 
-``DEFAULT`` uses those relative weights expressed in seconds per million
-tuples, calibrated once on this container by timing the vectorized local
-band-join and a Spark shuffle round (see ``calibrate``); the absolute
-scale only affects reported seconds, never which method wins.
+``CostModel()`` uses those relative weights (b1=1, b2=4, b3=1) with
+``unit=1e-6`` seconds per weighted tuple; the absolute scale only
+affects reported seconds, never which method wins. :func:`fit` regresses
+all four coefficients on measured runs (used by
+``jobs/table12_model_accuracy.py``).
 """
 from __future__ import annotations
 
@@ -67,34 +68,3 @@ def fit(rows: np.ndarray, times: np.ndarray) -> CostModel:
         b3 = max(b2 / 4.0, 1e-12)
     return CostModel(b0=b0, b1=float(b1 / b3), b2=float(b2 / b3), b3=1.0, unit=float(b3))
 
-
-def calibrate(seed: int = 0, sizes=(20_000, 60_000, 120_000), reps: int = 2) -> CostModel:
-    """Fit the absolute per-tuple ``unit`` by profiling the local
-    band-join at several sizes — the paper's offline 'benchmark of
-    training queries' (Section 6.1) with the container's CPU standing in
-    for an EMR worker. The *relative* weights stay at the paper's
-    profiled values (b1=1, b2=4, b3=1): a single-process benchmark
-    cannot separate shuffle cost (b1·I) from local input cost (b2·I_m) —
-    they are collinear without a cluster — so only the scale is fit.
-    Full 4-coefficient regression against real distributed runs is
-    available via :func:`fit` (used by the Table-12 job)."""
-    import time
-
-    from ..dist.local_join import band_join_count
-
-    rng = np.random.default_rng(seed)
-    base = CostModel()
-    weighted, times = [], []
-    for n in sizes:
-        for width in (0.5, 2.0):
-            s = rng.random((n, 1)) * n * 0.01
-            t = rng.random((n, 1)) * n * 0.01
-            t0 = time.perf_counter()
-            out = 0
-            for _ in range(reps):
-                out = band_join_count(s, t, np.array([width]))
-            dt = (time.perf_counter() - t0) / reps
-            weighted.append(base.b1 * 2 * n + base.b2 * 2 * n + base.b3 * out)
-            times.append(dt)
-    unit = float(np.dot(weighted, times) / np.dot(weighted, weighted))
-    return CostModel(b0=0.0, b1=base.b1, b2=base.b2, b3=base.b3, unit=max(unit, 1e-12))

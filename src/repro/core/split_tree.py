@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dist.partitioning import Partitioning, hash_ids, lpt_schedule
+from ..dist.partitioning import Partitioning, lpt_schedule, matrix_cells
 from .geometry import Rect
 
 
@@ -139,16 +139,9 @@ class FrozenTree(Partitioning):
                 if r == 1 and c == 1:
                     out_idx.append(idx)
                     out_task.append(np.full(len(idx), node.task_base, dtype=np.int64))
-                elif side == "S":
-                    row = hash_ids(ids[idx], self.seed + node.task_base, r)
-                    # copy to all c cells of the chosen row
-                    out_idx.append(np.repeat(idx, c))
-                    cells = (row[:, None] * c + np.arange(c)[None, :]).ravel()
-                    out_task.append(node.task_base + cells)
                 else:
-                    col = hash_ids(ids[idx], self.seed + 7919 + node.task_base, c)
-                    out_idx.append(np.repeat(idx, r))
-                    cells = (np.arange(r)[None, :] * c + col[:, None]).ravel()
+                    k, cells = matrix_cells(ids[idx], side, r, c, self.seed + node.task_base)
+                    out_idx.append(idx[k])
                     out_task.append(node.task_base + cells)
                 continue
             x = points[idx, node.dim]
@@ -167,39 +160,6 @@ class FrozenTree(Partitioning):
         task = np.concatenate(out_task)
         order = np.argsort(idx, kind="stable")  # deterministic row order
         return idx[order], task[order]
-
-    def route_pairs(
-        self,
-        s_pts: np.ndarray,
-        t_pts: np.ndarray,
-        s_ids: np.ndarray | None = None,
-        t_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Task where each output pair is produced: follow **s** at
-        T-splits (s is routed uniquely there) and **t** at S-splits;
-        inside a leaf, the pair lands in cell (row(s), col(t))."""
-        n = len(s_pts)
-        if s_ids is None:
-            s_ids = np.arange(n, dtype=np.int64)
-        if t_ids is None:
-            t_ids = np.arange(n, dtype=np.int64)
-        tasks = np.empty(n, dtype=np.int64)
-        stack: list[tuple[TreeNode, np.ndarray]] = [(self.root, np.arange(n, dtype=np.int64))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                r, c = node.r, node.c
-                row = hash_ids(s_ids[idx], self.seed + node.task_base, r)
-                col = hash_ids(t_ids[idx], self.seed + 7919 + node.task_base, c)
-                tasks[idx] = node.task_base + row * c + col
-                continue
-            x = (s_pts if node.dup_side == "T" else t_pts)[idx, node.dim]
-            left = x < node.value
-            stack.append((node.left, idx[left]))
-            stack.append((node.right, idx[~left]))
-        return tasks
 
     @property
     def n_leaves(self) -> int:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .partitioning import expand_ranges
+
 
 def band_join_tasks(
     task_s: np.ndarray,
@@ -81,18 +83,13 @@ def band_join_tasks(
         end = int(np.searchsorted(cum, budget, side="right"))
         end = max(end, start + 1)
         sl = slice(start, end)
-        w_sl = widths[sl]
-        n_cand = int(w_sl.sum())
-        if n_cand:
-            s_rep = np.repeat(np.arange(start, end), w_sl)
-            # candidate T positions: for each s, lo[s] .. hi[s]-1
-            offs = np.arange(n_cand) - np.repeat(
-                np.concatenate(([0], np.cumsum(w_sl)[:-1])), w_sl
-            )
-            t_pos = np.repeat(lo[sl], w_sl) + offs
+        # candidate T positions: for each s, lo[s] .. hi[s]-1
+        s_rep, t_pos = expand_ranges(lo[sl], hi[sl])
+        if len(s_rep):
+            s_rep += start
             # dim-0 selection is exact by construction; filter remaining
             # dims (dim 0 re-checked only for boundary ties, cheap)
-            ok = np.ones(n_cand, dtype=bool)
+            ok = np.ones(len(s_rep), dtype=bool)
             for dim in range(pts_s.shape[1]):
                 diff = np.abs(pts_s[s_rep, dim] - pts_t_sorted[t_pos, dim])
                 ok &= diff <= eps[dim]

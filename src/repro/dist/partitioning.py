@@ -15,6 +15,11 @@ A :class:`Partitioning` materializes the paper's assignment function
 Correctness contract (tested property): for every joining pair
 ``(s, t)`` there is **exactly one** task that receives both tuples, so
 each output row is produced once and no post-hoc dedup is needed.
+
+Fan-out primitives shared by the covers: :func:`matrix_cells` (1-Bucket's
+r x c matrix, also inside RecPart's small leaves) and
+:func:`expand_ranges` (COO expansion of CSR ranges: CS_IO/IEJoin stripes
+and the local join's candidate windows).
 """
 from __future__ import annotations
 
@@ -51,18 +56,6 @@ class Partitioning(abc.ABC):
         sent to ``task[k]``. A tuple may appear multiple times (input
         duplication) but never twice with the same task.
         """
-
-    def assign_workers(
-        self, points: np.ndarray, side: str, ids: np.ndarray | None = None
-    ) -> Assignment:
-        """Like :meth:`assign` but mapped to workers and de-duplicated, so
-        it realizes ``h`` directly: tuple k is shipped once to each worker
-        in ``h(k)`` even when several of its tasks share a worker."""
-        idx, task = self.assign(points, side, ids)
-        worker = self.task_to_worker[task]
-        key = idx.astype(np.int64) * self.w + worker
-        uniq = np.unique(key)
-        return (uniq // self.w).astype(np.int64), (uniq % self.w).astype(np.int64)
 
 
 #: a run of at least this many times w consecutive equal loads (in LPT
@@ -167,3 +160,35 @@ def hash_ids(ids: np.ndarray, seed: int, mod: int) -> np.ndarray:
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     x = x ^ (x >> np.uint64(31))
     return (x % np.uint64(mod)).astype(np.int64)
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(k, pos)`` with ``lo[k] <= pos < hi[k]``, ordered by k and
+    then pos, as two int arrays ``(owner, pos)``.
+
+    The COO fan-out of CSR lookups (stripe -> tasks) and of the local
+    join's candidate windows (S row -> run of sorted T rows).
+    """
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    pos = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(len(pos))
+    return owner, pos
+
+
+def matrix_cells(
+    ids: np.ndarray, side: str, r: int, c: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-Bucket fan-out over an r x c matrix of cells ``row * c + col``.
+
+    An S-tuple hashes to a row and goes to its c cells, a T-tuple hashes
+    to a column and goes to its r cells, so every (s, t) pair meets in
+    exactly one cell. Returns ``(k, cell)``: ``ids[k[j]]`` goes to
+    ``cell[j]``, ordered by k.
+    """
+    n = len(ids)
+    if side == "S":
+        row = hash_ids(ids, seed, r)
+        return np.repeat(np.arange(n), c), (row[:, None] * c + np.arange(c)).ravel()
+    col = hash_ids(ids, seed + 7919, c)
+    return np.repeat(np.arange(n), r), (np.arange(r) * c + col[:, None]).ravel()

@@ -1,10 +1,12 @@
-"""Shared test utilities: brute-force band-join ground truth and
-partitioning-correctness assertions (Definition 1)."""
+"""Shared test utilities: brute-force band-join ground truth,
+partitioning-correctness assertions (Definition 1) and the degenerate
+1-D inputs of the stripe-coverage tests."""
 from __future__ import annotations
 
 import numpy as np
 
 from repro.dist.metrics import collect_all_pairs
+from repro.synth_data import pareto_points, rv_pareto_points
 
 
 def brute_force_pairs(S: np.ndarray, T: np.ndarray, eps) -> np.ndarray:
@@ -43,3 +45,30 @@ def assert_partitioning_correct(part, S, T, eps) -> None:
         f"result mismatch: missing={len(want_keys - got_keys)} "
         f"extra={len(got_keys - want_keys)}"
     )
+
+
+def assert_every_tuple_shipped(part, S, T) -> None:
+    """Definition 1 coverage: every tuple of both sides goes to a task."""
+    si, _ = part.assign(S, "S")
+    ti, _ = part.assign(T, "T")
+    assert np.array_equal(np.unique(si), np.arange(len(S)))
+    assert np.array_equal(np.unique(ti), np.arange(len(T)))
+
+
+#: degenerate inputs for quantile stripes; "one_stripe" is ordinary data
+#: that the caller cuts into a single stripe
+STRIPE_CASES = ["disjoint", "heavy_hitter", "eps0", "one_stripe"]
+
+
+def stripe_case_inputs(case: str):
+    """``(S, T, eps)`` for one of :data:`STRIPE_CASES`."""
+    if case == "disjoint":  # rv-pareto: S and T share no band
+        S = rv_pareto_points(800, 1.5, 1, seed=3, side="S")
+        T = rv_pareto_points(800, 1.5, 1, seed=4, side="T")
+    elif case == "heavy_hitter":  # quantile bounds repeat
+        S = np.vstack([np.full((700, 1), 7.0), pareto_points(100, 1.5, 1, seed=5)])
+        T = np.vstack([np.full((700, 1), 7.0), pareto_points(100, 1.5, 1, seed=6)])
+    else:
+        S = pareto_points(800, 1.5, 1, seed=1)
+        T = pareto_points(800, 1.5, 1, seed=2)
+    return S, T, np.array([0.0 if case == "eps0" else 5.0])

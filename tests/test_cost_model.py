@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cost_model import CostModel, calibrate, fit
+from repro.core.cost_model import CostModel, fit
 
 
 class TestPredict:
@@ -64,16 +64,3 @@ class TestFit:
         times = np.array([3.0, 2.0, 1.0])  # decreasing: negative slope
         got = fit(rows, times)
         assert got.b1 >= 0
-
-
-class TestCalibrate:
-    def test_returns_positive_unit_and_paper_weights(self):
-        cm = calibrate(sizes=(5000, 10000), reps=1)
-        assert cm.unit > 0
-        assert (cm.b1, cm.b2, cm.b3) == (1.0, 4.0, 1.0)
-
-    def test_prediction_scale_reasonable(self):
-        cm = calibrate(sizes=(5000, 10000), reps=1)
-        # a million-tuple workload should cost between 1ms and 100s here
-        t = cm.predict(1e6, 1e5, 1e6)
-        assert 1e-3 < t < 100

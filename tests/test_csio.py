@@ -7,7 +7,12 @@ from repro.core.cost_model import CostModel
 from repro.dist.metrics import evaluate_partitioning
 from repro.synth_data import pareto_points, rv_pareto_points
 
-from tests.helpers import assert_partitioning_correct
+from tests.helpers import (
+    STRIPE_CASES,
+    assert_every_tuple_shipped,
+    assert_partitioning_correct,
+    stripe_case_inputs,
+)
 
 
 class TestCorrectness:
@@ -20,7 +25,8 @@ class TestCorrectness:
         assert_partitioning_correct(part, S, T, eps)
 
     def test_disjoint_ranges_zero_output(self):
-        # rv-pareto-style gap: no stripe pair is relevant -> sink tasks
+        # rv-pareto-style gap: S and T share no band, so the output is
+        # empty, yet every tuple must still be shipped
         S = rv_pareto_points(500, 1.5, 1, seed=3, side="S")
         T = rv_pareto_points(500, 1.5, 1, seed=4, side="T")
         eps = np.array([10.0])
@@ -41,17 +47,26 @@ class TestStructure:
         S = pareto_points(1000, 1.5, 1, seed=7)
         T = pareto_points(1000, 1.5, 1, seed=8)
         part = build_csio(S, T, np.array([5.0]), w=8, seed=0)
-        si, _ = part.assign(S, "S")
-        ti, _ = part.assign(T, "T")
-        assert len(np.unique(si)) == len(S)   # Definition 1 coverage
-        assert len(np.unique(ti)) == len(T)
+        assert_every_tuple_shipped(part, S, T)
+
+    @pytest.mark.parametrize("case", STRIPE_CASES)
+    def test_every_tuple_assigned_degenerate(self, case):
+        # each side's stripes tile the real line, so every stripe has a
+        # relevant cell and a rectangle
+        S, T, eps = stripe_case_inputs(case)
+        part = build_csio(S, T, eps, w=6, g=1 if case == "one_stripe" else None, seed=0)
+        if case == "heavy_hitter":
+            assert len(np.unique(part.bnd_s)) < len(part.bnd_s)
+        assert_every_tuple_shipped(part, S, T)
+        assert part.n_tasks <= 6
 
     def test_rect_count_at_most_w_plus_sinks(self):
+        # the cover has at most w rectangles and there are no other tasks
         S = pareto_points(2000, 1.5, 1, seed=9)
         T = pareto_points(2000, 1.5, 1, seed=10)
         w = 8
         part = build_csio(S, T, np.array([5.0]), w=w, seed=0)
-        assert part.n_tasks <= 2 * w  # <= w rects + <= w sinks
+        assert part.n_tasks <= w
 
     def test_granularity_increases_opt_cost(self):
         import time

@@ -6,7 +6,12 @@ from repro.baselines.iejoin import IEJoinPartitioning
 from repro.dist.metrics import evaluate_partitioning
 from repro.synth_data import pareto_points, rv_pareto_points
 
-from tests.helpers import assert_partitioning_correct
+from tests.helpers import (
+    STRIPE_CASES,
+    assert_every_tuple_shipped,
+    assert_partitioning_correct,
+    stripe_case_inputs,
+)
 
 
 class TestCorrectness:
@@ -43,8 +48,20 @@ class TestBehaviour:
         S = pareto_points(900, 1.5, 1, seed=9)
         T = pareto_points(900, 1.5, 1, seed=10)
         part = IEJoinPartitioning(S, T, np.array([3.0]), 6, 150, seed=0)
-        si, _ = part.assign(S, "S")
-        assert len(np.unique(si)) == len(S)
+        assert_every_tuple_shipped(part, S, T)
+
+    @pytest.mark.parametrize("case", STRIPE_CASES)
+    def test_every_tuple_shipped_degenerate(self, case):
+        # each side's blocks tile the real line, so every block is
+        # joinable with some block of the other side
+        S, T, eps = stripe_case_inputs(case)
+        spb = len(S) if case == "one_stripe" else 100
+        part = IEJoinPartitioning(S, T, eps, 6, spb, seed=0)
+        if case == "heavy_hitter":  # 7 distinct bounds without repeats
+            assert len(part.bnd_s) < len(S) // spb - 1
+        if case == "one_stripe":
+            assert part.n_tasks == 1
+        assert_every_tuple_shipped(part, S, T)
 
     def test_block_size_matters(self):
         """Paper Tables 7/11: sizePerBlock is a sensitive meta-parameter;

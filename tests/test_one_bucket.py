@@ -45,9 +45,13 @@ class TestPartitioning:
     def test_dimension_independent(self):
         # the cover ignores the join condition entirely (paper Tables
         # 2a vs 2b: identical 1-Bucket numbers)
-        p1 = OneBucketPartitioning(500, 500, 30, seed=0)
-        p3 = OneBucketPartitioning(500, 500, 30, seed=0)
-        assert (p1.r, p1.c) == (p3.r, p3.c)
+        part = OneBucketPartitioning(500, 500, 30, seed=0)
+        ids = np.arange(500, dtype=np.int64)
+        for side, seed in (("S", 1), ("T", 2)):
+            a = part.assign(pareto_points(500, 1.5, 1, seed=seed), side, ids=ids)
+            b = part.assign(pareto_points(500, 1.5, 3, seed=seed + 10), side, ids=ids)
+            assert a[0].tolist() == b[0].tolist()
+            assert a[1].tolist() == b[1].tolist()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_correct_any_band(self, d):

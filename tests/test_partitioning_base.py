@@ -1,5 +1,5 @@
-"""Tests for the partitioning base: LPT scheduling, id hashing, and
-worker-level de-duplication."""
+"""Tests for the partitioning base: LPT scheduling, id hashing, and the
+shared fan-out primitives (range expansion, r x c matrix cells)."""
 import heapq
 
 import numpy as np
@@ -7,8 +7,10 @@ import pytest
 
 from repro.baselines.grid_eps import GridPartitioning
 from repro.baselines.one_bucket import OneBucketPartitioning
+from repro.core.geometry import Rect
+from repro.core.split_tree import FrozenTree, TreeNode
 from repro.dist.local_join import band_join_tasks
-from repro.dist.partitioning import hash_ids, lpt_schedule
+from repro.dist.partitioning import expand_ranges, hash_ids, lpt_schedule
 from repro.synth_data import pareto_points
 
 
@@ -133,20 +135,52 @@ class TestHashIds:
             hash_ids(np.array([2**62], dtype=np.int64), 123456, 97)
 
 
-class TestAssignWorkers:
-    def test_dedupes_tasks_on_same_worker(self):
-        # with w < r*c impossible for 1-Bucket (r*c <= w); craft via a
-        # partitioning whose several tasks share a worker
-        part = OneBucketPartitioning(100, 100, 6, seed=0)  # r=2, c=3
-        part.task_to_worker = np.zeros(part.n_tasks, dtype=np.int64)
-        pts = np.zeros((10, 1))
-        idx, workers = part.assign_workers(pts, "S", ids=np.arange(10))
-        # each S tuple goes to c=3 tasks, all on worker 0 -> one shipment
-        assert len(idx) == 10
-        assert set(workers.tolist()) == {0}
+def reference_expand(lo, hi):
+    owner = [k for k in range(len(lo)) for _ in range(lo[k], hi[k])]
+    pos = [p for k in range(len(lo)) for p in range(lo[k], hi[k])]
+    return owner, pos
 
-    def test_no_dedupe_across_workers(self):
-        part = OneBucketPartitioning(100, 100, 6, seed=0)
-        pts = np.zeros((10, 1))
-        idx, workers = part.assign_workers(pts, "S", ids=np.arange(10))
-        assert len(idx) == 10 * part.c  # distinct workers per task here
+
+class TestExpandRanges:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            ([], []),
+            ([3, 5, 5], [3, 5, 5]),  # all ranges empty
+            ([0, 4, 4, 2, 9], [3, 4, 6, 2, 12]),  # zero widths between
+            ([7], [8]),
+            ([5, 0, 5], [9, 5, 6]),  # overlapping, not sorted
+        ],
+    )
+    def test_matches_loop(self, lo, hi):
+        owner, pos = expand_ranges(np.array(lo, np.int64), np.array(hi, np.int64))
+        want_owner, want_pos = reference_expand(lo, hi)
+        assert owner.tolist() == want_owner
+        assert pos.tolist() == want_pos
+
+    def test_matches_loop_random(self):
+        rng = np.random.default_rng(0)
+        lo = rng.integers(0, 1000, 300)
+        hi = lo + rng.integers(0, 4, 300)
+        owner, pos = expand_ranges(lo, hi)
+        want_owner, want_pos = reference_expand(lo.tolist(), hi.tolist())
+        assert owner.tolist() == want_owner
+        assert pos.tolist() == want_pos
+
+
+class TestMatrixCells:
+    @pytest.mark.parametrize("n,w,seed", [(100, 6, 0), (500, 30, 3), (50, 12, 11)])
+    def test_one_bucket_equals_one_leaf_tree(self, n, w, seed):
+        """1-Bucket and a RecPart leaf with the same (r, c, seed) share
+        one row/column seed convention."""
+        ob = OneBucketPartitioning(n, n, w, seed=seed)
+        root = TreeNode(Rect(np.array([0.0]), np.array([1.0])))
+        root.r, root.c = ob.r, ob.c
+        ft = FrozenTree(root, np.array([0.1]), w=w, seed=seed)
+        pts = np.random.default_rng(seed).random((n, 1))
+        ids = np.arange(1000, 1000 + n, dtype=np.int64)
+        for side in "ST":
+            a_idx, a_task = ob.assign(pts, side, ids=ids)
+            b_idx, b_task = ft.assign(pts, side, ids=ids)
+            assert a_idx.tolist() == b_idx.tolist()
+            assert a_task.tolist() == b_task.tolist()

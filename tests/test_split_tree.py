@@ -127,16 +127,6 @@ class TestSmallLeafCells:
             for b in t_tasks:
                 assert len(a & b) == 1
 
-    def test_route_pairs_matches_common_cell(self):
-        ft = self._frozen_grid(3, 4)
-        s = np.array([[1.0]])
-        t = np.array([[1.5]])
-        tasks = ft.route_pairs(s, t, s_ids=np.array([7]), t_ids=np.array([9]))
-        _, st = ft.assign(s, "S", ids=np.array([7]))
-        _, tt = ft.assign(t, "T", ids=np.array([9]))
-        common = set(st.tolist()) & set(tt.tolist())
-        assert set(tasks.tolist()) == common
-
 
 class TestFrozenTree:
     def test_task_bases_contiguous(self):
