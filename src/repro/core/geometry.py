@@ -16,6 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def band_widths(eps, d: int) -> np.ndarray:
+    """``eps`` as a float array of shape ``(d,)``: one band width per join
+    attribute. Raises ``ValueError`` unless it has exactly ``d`` entries,
+    none NaN or negative (a zero width is an equi-join on that attribute)."""
+    e = np.asarray(eps, dtype=float)
+    if e.shape != (d,):
+        raise ValueError(f"eps needs one band width per dimension (d={d}), got shape {e.shape}")
+    if np.isnan(e).any() or (e < 0).any():
+        raise ValueError(f"band widths must be >= 0 and not NaN, got {e.tolist()}")
+    return e
+
+
 @dataclass(frozen=True)
 class Rect:
     """Half-open box ``[lo, hi)``; ``lo``/``hi`` are float arrays of shape (d,)."""

@@ -27,6 +27,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..core.geometry import band_widths
 from .local_join import band_join_tasks
 from .partitioning import Partitioning
 
@@ -68,9 +69,10 @@ def distributed_band_join(
     Returns ``(result, stats, wall_seconds)`` where ``result`` is a
     pandas DataFrame of (s_id, t_id) pairs when ``produce_pairs`` else
     None, and ``stats`` is a pandas DataFrame with one row per worker:
-    (worker, input_s, input_t, output).
+    (worker, input_s, input_t, output). Raises ``ValueError`` unless
+    ``eps`` holds one band width >= 0 per entry of ``dims``.
     """
-    eps = np.asarray(eps, dtype=float)
+    eps = band_widths(eps, len(dims))
     fan_s = _fanout(S_df, part, "S", dims)
     fan_t = _fanout(T_df, part, "T", dims)
     allrows = fan_s.unionByName(fan_t).repartition(part.w, F.col("worker"))

@@ -7,9 +7,9 @@ band widths re-calibrated so each table row lands in the same
 output/input regime as the paper's row (DESIGN.md Section 3; the
 duplication and balance behaviour of every partitioning method is scale
 invariant, which is what the tables compare). The 8-dimensional
-scalability rows (Tables 4c/4d) run at N8 = 20k (1/10000) because their
-wide per-dimension bands make the dimension-0 candidate volume grow
-linearly with n^2 — the paper likewise switched to model-estimated join
+scalability rows (Tables 4c/4d) run at N8 = 20k (1/10000), the scale of
+their committed results: running them at N0 would change every 8-D
+number in results/. The paper likewise switched to model-estimated join
 times for those tables.
 
 Every ``*_inputs`` helper is deterministic in its seed and returns

@@ -31,6 +31,7 @@ from ..baselines.grid_eps import (
 from ..baselines.iejoin import IEJoinPartitioning
 from ..baselines.one_bucket import OneBucketPartitioning
 from ..core.cost_model import CostModel
+from ..core.geometry import band_widths
 from ..core.recpart import recpart
 from ..core.sampling import Samples, draw_samples
 from ..dist.metrics import EvalResult, evaluate_partitioning
@@ -152,7 +153,7 @@ def run_method(
     o_total_hint: int | None = None,
 ) -> MethodRun:
     """Build + exactly evaluate + model-estimate one method."""
-    eps = np.asarray(eps, dtype=float)
+    eps = band_widths(eps, 1 if np.ndim(S) == 1 else np.shape(S)[1])
     cm = cost_model or CostModel()
     if method == "grid_eps" and np.all(eps > 0):
         origin = np.vstack([S, T]).min(axis=0) - 2 * eps

@@ -27,6 +27,14 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method("nope", S, T, [1.0, 1.0], 4)
 
+    @pytest.mark.parametrize(
+        "eps", [[-1.0, 30.0], [np.nan, 30.0], [30.0], [30.0, 30.0, 30.0], 30.0]
+    )
+    def test_bad_eps_raises(self, small, eps):
+        S, T = small
+        with pytest.raises(ValueError, match="band width"):
+            run_method("recpart_s", S, T, eps, 4)
+
     def test_iejoin_param_parsing(self, small):
         S, T = small
         r = run_method("iejoin:100", S, T, [30.0, 30.0], 4, seed=0)

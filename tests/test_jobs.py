@@ -4,6 +4,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
@@ -80,6 +81,12 @@ class TestSparkJob:
         assert any("fitted model" in l for l in lines)
         assert any("summary" in l for l in lines)
         assert sum("predicted=" in l for l in lines) >= 6
+
+    def test_table12_max_factor_is_symmetric(self):
+        factor = _load("table12_model_accuracy").max_error_factor
+        assert factor(np.array([0.078, -0.659])) == pytest.approx(1 / 0.341)
+        assert factor(np.array([1.0, -0.5])) == pytest.approx(2.0)
+        assert factor(np.array([0.0])) == 1.0
 
 
 class TestEmit:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist import local_join
 from repro.dist.local_join import band_join_count, band_join_pairs, band_join_tasks
 
 from tests.helpers import brute_force_count, brute_force_pairs
@@ -131,3 +132,120 @@ def test_property_count_equals_brute_force(data, d, eps_val):
     T = np.round(rng.random((n_t, d)) * 8) / 2.0
     eps = np.full(d, round(eps_val * 2) / 2.0)
     assert band_join_count(S, T, eps) == brute_force_count(S, T, eps)
+
+
+def _per_task_brute_force(ts, S, tt, T, eps):
+    """Per-S counts and every pair by brute force within each task, the
+    pairs in the kernel's order: S row, then T by (A_1, row)."""
+    pairs = [np.empty((0, 2), np.int64)]
+    for k in np.intersect1d(ts, tt):
+        si, ti = np.flatnonzero(ts == k), np.flatnonzero(tt == k)
+        p = brute_force_pairs(S[si], T[ti], eps)
+        pairs.append(np.column_stack([si[p[:, 0]], ti[p[:, 1]]]))
+    ps, pt = np.vstack(pairs).T
+    by = np.lexsort((pt, T[pt, 0], ps))
+    return np.bincount(ps, minlength=len(S)), ps[by], pt[by]
+
+
+def _task_points(rng, n, d, dense):
+    """Half-integer coordinates (so |x - y| == eps happens exactly), some
+    negative; ``dense`` squeezes dim 0 into one band so the dim-0 windows
+    hold every row of the task."""
+    pts = rng.integers(-12, 13, (n, d)) / 2.0
+    if dense:
+        pts[:, 0] = rng.integers(0, 2, n) / 2.0
+    return pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from([2, 3, 8]),
+    ratio=st.sampled_from([0, local_join._GRID_MIN_RATIO, 10**18]),
+    chunk=st.sampled_from([97, 8_000_000]),
+)
+def test_property_both_paths_equal_brute_force(data, d, ratio, chunk):
+    """Counts, total and ordered pairs on the ε-grid path (ratio 0), the
+    dim-0 path (huge ratio) and the default choice, over several tasks
+    (one with S rows only), dense clusters and eps 0 on grid dims."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    n_tasks = data.draw(st.integers(1, 3))
+    dense = data.draw(st.booleans())
+    n_t = 1000 if dense else 40
+    S = np.vstack([_task_points(rng, 25, d, dense) for _ in range(n_tasks + 1)])
+    T = np.vstack([_task_points(rng, n_t, d, dense) for _ in range(n_tasks)])
+    ts = np.repeat(np.arange(n_tasks + 1), 25)
+    tt = np.repeat(np.arange(n_tasks), n_t)
+    # permute rows so tasks and coordinates arrive unsorted
+    s_perm, t_perm = rng.permutation(len(S)), rng.permutation(len(T))
+    S, ts, T, tt = S[s_perm], ts[s_perm], T[t_perm], tt[t_perm]
+    eps = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=d, max_size=d)))
+    want_counts, want_s, want_t = _per_task_brute_force(ts, S, tt, T, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_join, "_GRID_MIN_RATIO", ratio)
+        counts, total = band_join_tasks(ts, S, tt, T, eps, chunk_candidates=chunk)
+        ps, pt, total2 = band_join_tasks(
+            ts, S, tt, T, eps, produce_pairs=True, chunk_candidates=chunk
+        )
+    assert np.array_equal(counts, want_counts)
+    assert total == total2 == len(want_s)
+    assert np.array_equal(ps, want_s) and np.array_equal(pt, want_t)
+
+
+@pytest.mark.parametrize("seed", [24, 25])
+def test_grid_path_keeps_pairs_the_filter_rounds_onto_eps(seed):
+    """The exact filter passes some T rows below fl(s - eps) (e.g. s=0.7,
+    t=-1e-17, eps=0.7); the grid cells must still reach them. Two-decimal
+    coordinates around 0 make such pairs common."""
+    rng = np.random.default_rng(seed)
+    S = np.column_stack([np.zeros(300), np.round(rng.uniform(-2, 2, (300, 2)), 2)])
+    T = np.column_stack([np.zeros(300), np.round(rng.uniform(-2, 2, (300, 2)), 2)])
+    S[0, 1:], T[0, 1:] = (0.7, 0.0), (-1e-17, 0.0)
+    eps = np.array([1.0, 0.7, 0.3])
+    want_counts, want_s, want_t = _per_task_brute_force(
+        np.zeros(300, int), S, np.zeros(300, int), T, eps
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_join, "_GRID_MIN_RATIO", 0)
+        counts, _ = band_join_tasks(np.zeros(300, int), S, np.zeros(300, int), T, eps)
+        ps, pt = band_join_pairs(S, T, eps)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(ps, want_s) and np.array_equal(pt, want_t)
+
+
+class TestPathChoice:
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        calls = []
+        real = local_join._grid_windows
+
+        def spy(*args):
+            calls.append(args[5])  # the grid dims
+            return real(*args)
+
+        monkeypatch.setattr(local_join, "_grid_windows", spy)
+        return calls
+
+    def test_dense_cluster_takes_grid_path(self, grid_calls):
+        rng = np.random.default_rng(20)
+        S, T = _task_points(rng, 30, 3, True), _task_points(rng, 600, 3, True)
+        eps = np.array([1.0, 0.5, 0.5])
+        counts, total = band_join_tasks(np.zeros(30, int), S, np.zeros(600, int), T, eps)
+        assert grid_calls == [[1, 2]]
+        assert total == brute_force_count(S, T, eps)
+
+    def test_sparse_input_takes_dim0_path(self, grid_calls):
+        S, T = _rand(300, 3, 21), _rand(400, 3, 22)
+        eps = np.full(3, 0.5)
+        assert band_join_count(S, T, eps) == brute_force_count(S, T, eps)
+        assert grid_calls == []
+
+    def test_grid_skips_dims_with_zero_eps(self, grid_calls):
+        rng = np.random.default_rng(23)
+        S, T = _task_points(rng, 30, 3, True), _task_points(rng, 600, 3, True)
+        eps = np.array([1.0, 0.0, 0.5])
+        assert band_join_count(S, T, eps) == brute_force_count(S, T, eps)
+        assert grid_calls == [[2]]
+        eps[2] = 0.0  # no grid dim left: dim-0 path however wide
+        assert band_join_count(S, T, eps) == brute_force_count(S, T, eps)
+        assert grid_calls == [[2]]

@@ -109,6 +109,14 @@ def test_eps_zero_equi_join(spark, data):
     )
 
 
+@pytest.mark.parametrize("eps", [[-40.0, 40.0], [40.0, np.nan], [40.0], 40.0])
+def test_bad_eps_raises(spark, data, eps):
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    with pytest.raises(ValueError, match="band width"):
+        distributed_band_join(spark, S_df, T_df, part, eps, DIMS)
+
+
 class TestTpchDateBandJoin:
     """Band-join on TPC-H-lite date columns: the operator vs a plain
     Catalyst/DuckDB formulation, exercising the provided generators."""
