@@ -28,6 +28,21 @@ def band_widths(eps, d: int) -> np.ndarray:
     return e
 
 
+def check_relation(pts, name: str) -> None:
+    """Raises ``ValueError`` naming relation ``name`` unless it has at
+    least one tuple and every coordinate is finite. A NaN or infinite
+    coordinate lies in no region (a NaN T-tuple would be shipped to no
+    task), and sizing statistics on an empty relation divides by zero."""
+    a = np.asarray(pts, dtype=float)
+    if a.size == 0:
+        raise ValueError(f"relation {name} is empty")
+    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"relation {name} has a NaN or infinite coordinate in row {int(np.argmax(bad))}"
+        )
+
+
 @dataclass(frozen=True)
 class Rect:
     """Half-open box ``[lo, hi)``; ``lo``/``hi`` are float arrays of shape (d,)."""

@@ -6,9 +6,12 @@ DataFrame program:
 1. **map**: ``mapInPandas`` over each input applies the partitioning —
    the custom partitioner, shipped to executors inside the serialized
    UDF — emitting one row per (tuple, task); duplication happens here.
-2. **shuffle**: ``repartition(w, "worker")`` groups rows by the worker
-   that owns the task — exactly the full shuffle a Hadoop custom
-   ``Partitioner`` would drive.
+2. **shuffle**: ``repartition(w, "worker")`` — the full shuffle a Hadoop
+   custom ``Partitioner`` would drive, into ``w`` Spark partitions. Spark
+   hashes the worker id (Murmur3, modulo ``w``), so logical workers can
+   share a partition: at w=30 on the ebird x cloud stand-in only 19 of
+   the 30 partitions receive rows. Each worker is still joined as its
+   own group (below), but one Spark task may run several of them.
 3. **reduce**: ``applyInPandas`` per worker runs the vectorized local
    band-join *per task* (Section 6.1's index-nested-loop), producing
    either the (s_id, t_id) result pairs or per-worker statistics.

@@ -9,15 +9,17 @@ once* using integer **rank-space keys**:
 * ``V`` = globally sorted T values on dim 0. Each T row gets the exact
   integer key ``task * M + rank(A_1 in V)`` (``M = len(V) + 1``); rows
   of one task occupy one contiguous integer block, ordered by ``A_1``.
-* Each S row's window ``[A_1 - eps_1, A_1 + eps_1]`` maps to the exact
-  rank interval ``[rank_left, rank_right)`` via two ``searchsorted``
-  calls on ``V``; two more ``searchsorted`` calls on the key array give
-  every S row's candidate range at once.
+* Each S row's window ``[A_1 - eps_1, A_1 + eps_1]``, padded by four
+  ulps on each side (:func:`_band_bounds`), maps to the rank interval
+  ``[rank_left, rank_right)`` via two ``searchsorted`` calls on ``V``;
+  two more ``searchsorted`` calls on the key array give every S row's
+  candidate range at once.
 
-Integer keys make dim-0 candidate selection *exact* — no float
-normalization, no pads, and no blow-up on heavy-tailed domains whose
-span dwarfs the band width. Candidates are then expanded chunk-wise
-(bounded memory) and filtered on all dimensions.
+Integer keys keep dim-0 candidate selection free of float normalization
+and of blow-up on heavy-tailed domains whose span dwarfs the band width.
+The pad makes the window a superset of what the exact filter accepts:
+``fl(|s - t|) <= eps`` holds for some ``t`` just beyond ``fl(s -+ eps)``,
+and an unpadded window dropped those pairs.
 
 The dim-0 window alone can admit hundreds of candidates per result when
 the other dimensions do the selecting (heavy-tailed data in d >= 3).
@@ -33,9 +35,15 @@ sizes the first path computes anyway:
   blocks of the (at most 3 per dim) cells its band touches, each with
   the same dim-0 rank window. See :func:`_grid_windows`.
 
-Both paths check every candidate on all dimensions with the same exact
-filter, so they produce the same pairs; the grid path sorts its pairs
-back into the dim-0 path's order (S row, then T by task, ``A_1``, row).
+Both paths then run the same exact filter, so they produce the same
+pairs; the grid path sorts its pairs back into the dim-0 path's order
+(S row, then T by task, ``A_1``, row). The filter keeps every vector in
+cache, as in MonetDB/X100's vectorized execution: windows are expanded
+:data:`CHUNK_CANDIDATES` candidates at a time, and each chunk is checked
+one dimension at a time on contiguous per-dimension copies, compacting
+the survivors after each (dims 1..d-1 first, dim 0, which the window
+already bounds, last). Windows are ordered by S row on both paths, so a
+chunk's per-S counts go into one slice of the count array.
 
 A pair is produced iff both tuples share the task and satisfy the band
 condition — together with the partitioning contract (exactly one common
@@ -49,12 +57,25 @@ from .partitioning import expand_ranges
 
 #: the grid path runs when the dim-0 windows hold more than this many
 #: times its own lookup volume (3^|G| cells per S row plus one key per T
-#: row). Both paths timed on the 14 calls of one query set each of
-#: pareto-1.5 d=3 (12.5k and 100k), d=8 (7k) and ebird x cloud (best of
-#: 3, 4-core VM): the grid path took 1.6-2.5x the dim-0 time at ratios
-#: up to 3.9 and 0.49-0.90x at 4.2-16.4, so it breaks even near 4; at 16
-#: the dim-0 path keeps every call within 4x of that break-even.
+#: row). Both paths timed with the chunked filter on 13 calls: one query
+#: set each of pareto-1.5 d=3 (12.5k and 100k), d=8 (7k) and ebird x
+#: cloud (best of 5, 4-core VM). The grid path took 1.7-3.6x the dim-0
+#: time at ratios up to 8, 1.10x at 19.4, and 0.19-0.87x at 29.8-255,
+#: so it breaks even near 20-25 (near 4 with the earlier unchunked
+#: filter, which made dim-0 candidates dearer). At 16 the grid path is
+#: at most ~1.2x slower where it is chosen early, while the dim-0 path's
+#: loss grows with the ratio (5x at 255).
 _GRID_MIN_RATIO = 16
+
+#: candidates expanded and filtered at a time, so a chunk's few vectors
+#: (512 KB each at 8 bytes) stay in cache. Timed on the captured calls
+#: of one query set per benchmark workload (best of 7, 4-core VM with
+#: 2 MiB of L2 per core): 2^14 to 2^18 were within noise of each other;
+#: 2^20 was slower on the large calls (1-Bucket 0.178 s against
+#: 0.105-0.118 s, the ebird x cloud simulation 0.74 s against
+#: 0.55-0.65 s), and 8M, the earlier default, slower still (0.16 s and
+#: 0.85 s).
+CHUNK_CANDIDATES = 1 << 16
 
 
 def band_join_tasks(
@@ -64,7 +85,7 @@ def band_join_tasks(
     pts_t: np.ndarray,
     eps: np.ndarray,
     produce_pairs: bool = False,
-    chunk_candidates: int = 8_000_000,
+    chunk_candidates: int = CHUNK_CANDIDATES,
 ):
     """Band-join within each task.
 
@@ -90,27 +111,31 @@ def band_join_tasks(
     order_t = np.lexsort((t0_vals, task_t))
     rank_t = np.searchsorted(V, t0_vals[order_t], side="left").astype(np.int64)
     key_t = task_t[order_t].astype(np.int64) * M + rank_t
-    pts_t_sorted = pts_t[order_t]
 
-    s0 = pts_s[:, 0].astype(float)
-    rlo = np.searchsorted(V, s0 - eps[0], side="left").astype(np.int64)
-    rhi = np.searchsorted(V, s0 + eps[0], side="right").astype(np.int64)
+    low, high = _band_bounds(pts_s[:, 0].astype(float), eps[0])
+    rlo = np.searchsorted(V, low, side="left").astype(np.int64)
+    rhi = np.searchsorted(V, high, side="right").astype(np.int64)
     base = task_s.astype(np.int64) * M
     lo = np.searchsorted(key_t, base + rlo, side="left")
     hi = np.searchsorted(key_t, base + rhi, side="left")
     widths = hi - lo
 
-    # candidate windows: lo[j]..hi[j]-1 index rows of pts_t_sorted for S
+    # candidate windows: lo[j]..hi[j]-1 index rows pts_t[t_rows] for S
     # row owner[j] (owner None: j itself, the dim-0 path)
     owner = grid_perm = None
+    t_rows = order_t
     grid = [g for g in range(1, min(3, pts_s.shape[1])) if 0 < eps[g] < np.inf]
     if grid and widths.sum() > _GRID_MIN_RATIO * (3 ** len(grid) * n_s + len(V)):
         owner, lo, hi, grid_perm = _grid_windows(
-            task_s, pts_s, task_t[order_t], pts_t_sorted, eps, grid, rlo, rhi, rank_t, M
+            task_s, pts_s, task_t[order_t], pts_t[order_t], eps, grid, rlo, rhi, rank_t, M
         )
-        pts_t_sorted = pts_t_sorted[grid_perm]
+        t_rows = order_t[grid_perm]
         widths = hi - lo
 
+    # the windows are supersets: filter on every dim, dim 0 last (its
+    # window already bounds it), on contiguous copies of each column
+    dims = [*range(1, pts_s.shape[1]), 0]
+    cols = [(np.ascontiguousarray(pts_s[:, k]), pts_t[t_rows, k], eps[k]) for k in dims]
     # chunk windows so expanded candidates stay under chunk_candidates
     cum = np.cumsum(widths)
     n_win = len(widths)
@@ -118,28 +143,25 @@ def band_join_tasks(
     total = 0
     while start < n_win:
         budget = (cum[start - 1] if start else 0) + chunk_candidates
-        end = int(np.searchsorted(cum, budget, side="right"))
-        end = max(end, start + 1)
-        sl = slice(start, end)
+        end = max(int(np.searchsorted(cum, budget, side="right")), start + 1)
         # candidate T positions: for each window, lo .. hi-1
-        s_rep, t_pos = expand_ranges(lo[sl], hi[sl])
+        s_rep, t_pos = expand_ranges(lo[start:end], hi[start:end])
+        s_rep += start
+        if owner is not None:
+            s_rep = owner[s_rep]
+        for s_k, t_k, e in cols:
+            keep = np.flatnonzero(np.abs(s_k[s_rep] - t_k[t_pos]) <= e)
+            s_rep, t_pos = s_rep[keep], t_pos[keep]
+            if not len(s_rep):
+                break
         if len(s_rep):
-            s_rep += start
-            if owner is not None:
-                s_rep = owner[s_rep]
-            # the windows are supersets; filter on every dim (dim 0
-            # re-checked only for boundary ties, cheap)
-            ok = np.ones(len(s_rep), dtype=bool)
-            for dim in range(pts_s.shape[1]):
-                diff = np.abs(pts_s[s_rep, dim] - pts_t_sorted[t_pos, dim])
-                ok &= diff <= eps[dim]
-            n_ok = int(ok.sum())
-            total += n_ok
-            if n_ok:
-                counts += np.bincount(s_rep[ok], minlength=n_s)
-                if produce_pairs:
-                    pair_s.append(s_rep[ok])
-                    pair_t.append(t_pos[ok])
+            # windows are ordered by S row, so the survivors are too
+            a = s_rep[0]
+            counts[a : s_rep[-1] + 1] += np.bincount(s_rep - a)
+            total += len(s_rep)
+            if produce_pairs:
+                pair_s.append(s_rep)
+                pair_t.append(t_pos)
         start = end
 
     if produce_pairs:
@@ -155,6 +177,22 @@ def band_join_tasks(
     return counts, total
 
 
+def _band_bounds(a: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """``fl(a -+ e)`` moved out by four ulps of ``max(|a|, e)``: bounds
+    that hold every ``t`` the exact filter ``fl(|a - t|) <= e`` accepts.
+
+    That filter lets the real ``|a - t|`` exceed ``e`` by up to half an
+    ulp of ``e``, so ``t`` can lie below ``fl(a - e)`` (``a = 0.7, t =
+    -1e-17, e = 0.7`` joins, yet ``fl(a - e) = 0``). Four ulps are more
+    than that slack plus the roundings of ``a -+ e`` and of the move
+    itself. Every float from 2^1023 up has the ulp of 2^1023, so capping
+    there changes no finite pad and gives an infinite ``a`` or ``e`` an
+    infinite bound rather than a NaN one.
+    """
+    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(a), e), 2.0**1023))
+    return (a - e) - pad, (a + e) + pad
+
+
 def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     """Candidate windows of the ε-grid path.
 
@@ -167,15 +205,10 @@ def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     block found gives one window: the S row's dim-0 rank interval
     ``[rlo, rhi)`` within that block.
 
-    No T row that passes the exact filter ``fl(|s - t|) <= eps`` is
-    missed. That filter lets the real ``|s - t|`` exceed ``eps`` by up to
-    half an ulp of ``eps``, so ``t`` can lie below ``fl(s - eps)``
-    (``s = 0.7, t = -1e-17, eps = 0.7`` joins, and ``t`` is in cell -1,
-    ``fl(s - eps) = 0`` in cell 0). So ``low`` and ``high`` are
-    ``fl(s -+ eps)`` moved out by four ulps of ``max(|s|, eps)``, more
-    than the filter's slack plus the roundings of ``s -+ eps`` and of the
-    move itself; then ``t >= low`` gives ``floor(t / eps) >= floor(low /
-    eps)``, as rounded division and floor are monotone.
+    No T row that passes the exact filter is missed: the cell range of
+    each S row spans its :func:`_band_bounds`, and ``t >= low`` gives
+    ``floor(t / eps) >= floor(low / eps)``, as rounded division and floor
+    are monotone.
 
     Returns ``(owner, lo, hi, perm)``: window j covers rows lo[j]..hi[j]-1
     of ``pts_t[perm]`` for S row ``owner[j]``; owners are ascending.
@@ -187,10 +220,7 @@ def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     for g in grid:
         cells, cell_t = np.unique(np.floor(pts_t[:, g] / eps[g]), return_inverse=True)
         level, block_t = np.unique(block_t * len(cells) + cell_t, return_inverse=True)
-        a = pts_s[owner, g].astype(float)
-        pad = 4 * np.spacing(np.maximum(np.abs(a), eps[g]))
-        low = (a - eps[g]) - pad
-        high = (a + eps[g]) + pad
+        low, high = _band_bounds(pts_s[owner, g].astype(float), eps[g])
         first = np.searchsorted(cells, np.floor(low / eps[g]), side="left")
         last = np.searchsorted(cells, np.floor(high / eps[g]), side="right")
         k, cell_s = expand_ranges(first, last)

@@ -31,7 +31,7 @@ from ..baselines.grid_eps import (
 from ..baselines.iejoin import IEJoinPartitioning
 from ..baselines.one_bucket import OneBucketPartitioning
 from ..core.cost_model import CostModel
-from ..core.geometry import band_widths
+from ..core.geometry import band_widths, check_relation
 from ..core.recpart import recpart
 from ..core.sampling import Samples, draw_samples
 from ..dist.metrics import EvalResult, evaluate_partitioning
@@ -88,7 +88,10 @@ def build_partitioning(
     optimization seconds, method-specific extras). Pre-drawn ``samples``
     are shared by the sample-based optimizers so that reported
     optimization times exclude statistics gathering, which the paper
-    accounts for separately (Section 6.1)."""
+    accounts for separately (Section 6.1). Raises ``ValueError`` when S
+    or T is empty or holds a non-finite coordinate."""
+    check_relation(S, "S")
+    check_relation(T, "T")
     t0 = time.perf_counter()
     extra: dict = {}
     if method in ("recpart", "recpart_s"):
@@ -153,6 +156,8 @@ def run_method(
     o_total_hint: int | None = None,
 ) -> MethodRun:
     """Build + exactly evaluate + model-estimate one method."""
+    check_relation(S, "S")
+    check_relation(T, "T")
     eps = band_widths(eps, 1 if np.ndim(S) == 1 else np.shape(S)[1])
     cm = cost_model or CostModel()
     if method == "grid_eps" and np.all(eps > 0):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cost_model import CostModel
 from repro.harness import experiments as X
-from repro.harness.runner import MethodRun, run_method, run_suite
+from repro.harness.runner import MethodRun, build_partitioning, run_method, run_suite
 from repro.harness.tables import HEADER, PAPER, format_rows
 
 
@@ -34,6 +34,33 @@ class TestRunMethod:
         S, T = small
         with pytest.raises(ValueError, match="band width"):
             run_method("recpart_s", S, T, eps, 4)
+
+    @pytest.mark.parametrize(
+        "method",
+        ["recpart", "recpart_s", "csio", "one_bucket", "grid_eps", "grid_star", "iejoin:100"],
+    )
+    @pytest.mark.parametrize(
+        "side, bad, match",
+        [
+            ("S", "empty", "relation S is empty"),
+            ("T", "empty", "relation T is empty"),
+            ("S", np.nan, "relation S has a NaN or infinite coordinate in row 7"),
+            ("T", np.inf, "relation T has a NaN or infinite coordinate in row 7"),
+        ],
+    )
+    def test_bad_relation_raises(self, small, method, side, bad, match):
+        """Empty relations raised ZeroDivisionError in four methods; a NaN
+        T-row was accepted silently by three."""
+        rel = {"S": small[0].copy(), "T": small[1].copy()}
+        if bad == "empty":
+            rel[side] = rel[side][:0]
+        else:
+            rel[side][7, 1] = bad
+        eps = np.array([30.0, 30.0])
+        with pytest.raises(ValueError, match=match):
+            run_method(method, rel["S"], rel["T"], eps, 4)
+        with pytest.raises(ValueError, match=match):
+            build_partitioning(method, rel["S"], rel["T"], eps, 4, CostModel())
 
     def test_iejoin_param_parsing(self, small):
         S, T = small

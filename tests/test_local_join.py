@@ -1,4 +1,6 @@
 """Tests for the vectorized per-task local band-join."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,12 @@ class TestSingleTask:
     def test_large_band_full_cross_product(self):
         S, T = _rand(40, 1, 8), _rand(50, 1, 9)
         assert band_join_count(S, T, np.array([100.0])) == 40 * 50
+
+    def test_infinite_band_width(self):
+        # the padded dim-0 window must stay infinite, not turn NaN
+        S, T = _rand(40, 2, 8), _rand(50, 2, 9)
+        eps = np.array([np.inf, 2.0])
+        assert band_join_count(S, T, eps) == brute_force_count(S, T, eps) > 0
 
 
 class TestMultiTask:
@@ -147,10 +155,17 @@ def _per_task_brute_force(ts, S, tt, T, eps):
     return np.bincount(ps, minlength=len(S)), ps[by], pt[by]
 
 
-def _task_points(rng, n, d, dense):
+def _task_points(rng, n, d, dense, cents=False):
     """Half-integer coordinates (so |x - y| == eps happens exactly), some
     negative; ``dense`` squeezes dim 0 into one band so the dim-0 windows
-    hold every row of the task."""
+    hold every row of the task. ``cents`` draws two-decimal coordinates
+    in [0, 3] instead, whose differences round onto a decimal eps such as
+    0.7 (half-integers never round)."""
+    if cents:
+        pts = np.round(rng.uniform(0, 3, (n, d)), 2)
+        if dense:
+            pts[:, 0] = np.round(rng.uniform(0, 0.5, n), 2)
+        return pts
     pts = rng.integers(-12, 13, (n, d)) / 2.0
     if dense:
         pts[:, 0] = rng.integers(0, 2, n) / 2.0
@@ -162,24 +177,27 @@ def _task_points(rng, n, d, dense):
     data=st.data(),
     d=st.sampled_from([2, 3, 8]),
     ratio=st.sampled_from([0, local_join._GRID_MIN_RATIO, 10**18]),
-    chunk=st.sampled_from([97, 8_000_000]),
+    chunk=st.sampled_from([97, local_join.CHUNK_CANDIDATES, 8_000_000]),
+    cents=st.booleans(),
 )
-def test_property_both_paths_equal_brute_force(data, d, ratio, chunk):
+def test_property_both_paths_equal_brute_force(data, d, ratio, chunk, cents):
     """Counts, total and ordered pairs on the ε-grid path (ratio 0), the
     dim-0 path (huge ratio) and the default choice, over several tasks
-    (one with S rows only), dense clusters and eps 0 on grid dims."""
+    (one with S rows only), dense clusters, eps 0 on grid dims, and
+    half-integer or two-decimal coordinates."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     n_tasks = data.draw(st.integers(1, 3))
     dense = data.draw(st.booleans())
-    n_t = 1000 if dense else 40
-    S = np.vstack([_task_points(rng, 25, d, dense) for _ in range(n_tasks + 1)])
-    T = np.vstack([_task_points(rng, n_t, d, dense) for _ in range(n_tasks)])
+    n_t = 1000 if dense or cents else 40
+    S = np.vstack([_task_points(rng, 25, d, dense, cents) for _ in range(n_tasks + 1)])
+    T = np.vstack([_task_points(rng, n_t, d, dense, cents) for _ in range(n_tasks)])
     ts = np.repeat(np.arange(n_tasks + 1), 25)
     tt = np.repeat(np.arange(n_tasks), n_t)
     # permute rows so tasks and coordinates arrive unsorted
     s_perm, t_perm = rng.permutation(len(S)), rng.permutation(len(T))
     S, ts, T, tt = S[s_perm], ts[s_perm], T[t_perm], tt[t_perm]
-    eps = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=d, max_size=d)))
+    widths = [0.0, 0.1, 0.7, 1.3] if cents else [0.0, 0.5, 1.0, 2.0]
+    eps = np.array(data.draw(st.lists(st.sampled_from(widths), min_size=d, max_size=d)))
     want_counts, want_s, want_t = _per_task_brute_force(ts, S, tt, T, eps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(local_join, "_GRID_MIN_RATIO", ratio)
@@ -211,6 +229,52 @@ def test_grid_path_keeps_pairs_the_filter_rounds_onto_eps(seed):
         ps, pt = band_join_pairs(S, T, eps)
     assert np.array_equal(counts, want_counts)
     assert np.array_equal(ps, want_s) and np.array_equal(pt, want_t)
+
+
+@pytest.mark.parametrize("eps0, want", [(0.7, 1_651_657), (0.1, 261_146)])
+@pytest.mark.parametrize("ratio", [0, 10**18], ids=["grid", "dim0"])
+def test_dim0_window_keeps_pairs_the_filter_rounds_onto_eps(eps0, want, ratio):
+    """fl(s - t) can round onto eps while t lies beyond fl(s -+ eps), so
+    an unpadded dim-0 window drops pairs its own filter accepts (it
+    counted 1,650,825 and 261,092 here). Two-decimal values in [0, 3];
+    d=1 takes the dim-0 path, and a constant second dim with a finite
+    eps lets the grid path, whose cells keep the dim-0 window, run too."""
+    rng = np.random.default_rng(0)
+    vals = [np.round(rng.uniform(0, 3, 2000), 2) for _ in "ST"]
+    for S, T, eps in [
+        (vals[0][:, None], vals[1][:, None], np.array([eps0])),
+        (np.column_stack([vals[0], np.zeros(2000)]),
+         np.column_stack([vals[1], np.zeros(2000)]), np.array([eps0, 1.0])),
+    ]:
+        zs, zt = np.zeros(2000, int), np.zeros(2000, int)
+        want_counts, want_s, want_t = _per_task_brute_force(zs, S, zt, T, eps)
+        assert len(want_s) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local_join, "_GRID_MIN_RATIO", ratio)
+            counts, total = band_join_tasks(zs, S, zt, T, eps)
+            ps, pt = band_join_pairs(S, T, eps)
+        assert total == want and np.array_equal(counts, want_counts)
+        assert np.array_equal(ps, want_s) and np.array_equal(pt, want_t)
+
+
+@pytest.mark.parametrize("d, ratio", [(1, 10**18), (3, 10**18), (3, 0)], ids=["d1", "d3-dim0", "d3-grid"])
+def test_dense_call_filters_in_small_chunks(d, ratio):
+    """A 3,000 x 3,000 single-task call in which every pair joins: 9M
+    candidates on either path. Expanding and filtering them a chunk at a
+    time keeps the traced peak far below one candidate array (72 MB)."""
+    rng = np.random.default_rng(30)
+    S, T = rng.random((3000, d)), rng.random((3000, d))
+    zs, zt = np.zeros(3000, int), np.zeros(3000, int)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_join, "_GRID_MIN_RATIO", ratio)
+        tracemalloc.start()
+        try:
+            counts, total = band_join_tasks(zs, S, zt, T, np.ones(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert total == 9_000_000 and (counts == 3000).all()
+    assert peak < 16 * 2**20
 
 
 class TestPathChoice:
