@@ -3,7 +3,9 @@
 Fits M(I, I_m, O_m) by regression on measured Spark runs (the method of
 Li et al. [24] the paper uses), then reports predicted vs measured join
 time for held-out configurations across datasets, band widths and
-methods. The paper's bar: <20% relative error in >70% of cases, never
+methods. The measured time is the slowest worker's local join, as the
+operator reports it per worker; (I, I_m, O_m) are those of the schedule
+that ran. The paper's bar: <20% relative error in >70% of cases, never
 off by more than 1.8x, and correct method ranking.
 
 This job genuinely runs the distributed band-join on the local Spark
@@ -73,15 +75,16 @@ def run(scale: float = 0.1, w: int = 8, spark: SparkSession | None = None) -> li
         S_df = to_spark(spark, S)
         T_df = to_spark(spark, T)
         for mname, part in _methods(S, T, eps, w):
-            ev = evaluate_partitioning(part, S, T, eps)
-            # two runs, keep the faster: JIT/Arrow warm-up noise is not
-            # part of the modelled join cost
-            walls = []
+            # Spark runs the partitioning's own task-to-worker schedule
+            ev = evaluate_partitioning(part, S, T, eps, reschedule=False)
+            # the modelled time is the slowest worker's local join; of two
+            # runs keep the faster, since warm-up noise is not part of it
+            slowest = []
             for _ in range(2):
-                _, stats, wall = distributed_band_join(spark, S_df, T_df, part, eps, dims)
-                walls.append(wall)
+                _, stats, _ = distributed_band_join(spark, S_df, T_df, part, eps, dims)
+                slowest.append(stats["seconds"].max())
             rows.append([ev.I, ev.I_m, ev.O_m])
-            times.append(min(walls))
+            times.append(min(slowest))
             labels.append(f"{name} {mname}")
     rows = np.array(rows, dtype=float)
     times = np.array(times)

@@ -18,6 +18,7 @@ all four coefficients on measured runs (used by
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,27 @@ def fit(rows: np.ndarray, times: np.ndarray) -> CostModel:
     """Least-squares fit of (b0, b1, b2, b3) from measured runs.
 
     ``rows`` is (n, 3) of (I, I_m, O_m) in tuples, ``times`` in seconds.
-    Coefficients are clipped at >= 0 (a negative cost per tuple is
-    non-physical noise) and re-normalized so b3 = 1 with the absolute
-    scale moved into ``unit``, matching how the paper reports b2/b3.
+    b1, b2, b3 are constrained to >= 0 (a negative cost per tuple is
+    non-physical noise); the intercept is free, since fixed job overhead
+    is real. The constrained optimum is the plain least-squares fit on
+    the subset of (I, I_m, O_m) whose coefficients it leaves positive, so
+    every subset is fitted and the best feasible one kept. Clipping the
+    unconstrained fit instead would keep an intercept and slopes tuned
+    to the negative coefficient it drops. The result is re-normalized so
+    b3 = 1 with the absolute scale moved into ``unit``, matching how the
+    paper reports b2/b3.
     """
     A = np.column_stack([np.ones(len(rows)), rows])
-    coef, *_ = np.linalg.lstsq(A, times, rcond=None)
-    b0 = float(coef[0])  # intercept free: fixed job overhead is real
-    b1, b2, b3 = np.maximum(coef[1:], 0.0)
+    best, coef = np.inf, np.zeros(4)
+    for keep in itertools.product((False, True), repeat=3):
+        cols = np.flatnonzero([True, *keep])
+        c, *_ = np.linalg.lstsq(A[:, cols], times, rcond=None)
+        sse = float(np.sum((A[:, cols] @ c - times) ** 2))
+        if np.all(c[1:] >= 0) and sse < best:
+            best, coef = sse, np.zeros(4)
+            coef[cols] = c
+    b0 = float(coef[0])
+    b1, b2, b3 = coef[1:]
     if b3 <= 0:
         b3 = max(b2 / 4.0, 1e-12)
     return CostModel(b0=b0, b1=float(b1 / b3), b2=float(b2 / b3), b3=1.0, unit=float(b3))
-

@@ -6,38 +6,97 @@ DataFrame program:
 1. **map**: ``mapInPandas`` over each input applies the partitioning —
    the custom partitioner, shipped to executors inside the serialized
    UDF — emitting one row per (tuple, task); duplication happens here.
-2. **shuffle**: ``repartition(w, "worker")`` — the full shuffle a Hadoop
+   Each row carries its worker's partition key ``pkey``.
+2. **shuffle**: ``repartition(w, "pkey")`` — the full shuffle a Hadoop
    custom ``Partitioner`` would drive, into ``w`` Spark partitions. Spark
-   hashes the worker id (Murmur3, modulo ``w``), so logical workers can
-   share a partition: at w=30 on the ebird x cloud stand-in only 19 of
-   the 30 partitions receive rows. Each worker is still joined as its
-   own group (below), but one Spark task may run several of them.
+   sends a row to partition ``pmod(hash(pkey), w)`` (Murmur3), and
+   :func:`partition_keys` picks worker i's key so that this is i: one
+   logical worker is exactly one Spark partition and one reduce task.
 3. **reduce**: ``applyInPandas`` per worker runs the vectorized local
    band-join *per task* (Section 6.1's index-nested-loop), producing
-   either the (s_id, t_id) result pairs or per-worker statistics.
+   either the (s_id, t_id) result pairs or per-worker statistics. Rows
+   are already clustered by ``pkey``, so grouping adds no second shuffle.
 
 Everything is DataFrame/Catalyst; the only Python-side compute is the
 partitioning UDF and the local join, mirroring how the paper's operator
 sits below the dataflow engine. Inputs must carry a unique ``id``
 column plus the join-attribute columns.
+
+Spark's Python workers run under :mod:`._daemon` where the driver's
+pyspark can serve them (see :func:`_install_site_daemon`).
 """
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pandas as pd
+import pyspark
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.geometry import band_widths
+from . import _daemon
 from .local_join import band_join_tasks
 from .partitioning import Partitioning
 
+DAEMON_KEY = "spark.python.daemon.module"
+_U32 = 0xFFFFFFFF
 
-def _fanout(df: DataFrame, part: Partitioning, side: str, dims: list[str]) -> DataFrame:
-    """Map each row to its tasks (one output row per assignment)."""
-    t2w = part.task_to_worker
+
+def _install_site_daemon(spark: SparkSession) -> None:
+    """Have the session's next Python workers run under :mod:`._daemon`.
+
+    Only when no daemon module is set, and the driver's pyspark matches
+    the JVM and does not come from a zip: then the workers' site-packages
+    pyspark is this one. The key goes on the live SparkConf, which new
+    tasks read; ``spark.conf.set`` would only reach the SQL conf.
+    """
+    conf = spark.sparkContext._conf
+    if (
+        conf.get(DAEMON_KEY) is None
+        and pyspark.__version__ == spark.version
+        and os.path.isfile(pyspark.__file__)
+    ):
+        conf.set(DAEMON_KEY, _daemon.__name__)
+
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    return ((x << r) | (x >> (32 - r))) & _U32
+
+
+def _spark_hash_int(k: np.ndarray) -> np.ndarray:
+    """Spark's ``hash`` of an int column: Murmur3_x86_32 of 4 bytes,
+    seed 42, as int32."""
+    k = (np.asarray(k).astype(np.uint64) & _U32) * 0xCC9E2D51 & _U32
+    k = _rotl(k, 15) * 0x1B873593 & _U32
+    h = _rotl(k ^ 42, 13) * 5 + 0xE6546B64 & _U32
+    h ^= 4
+    h ^= h >> 16
+    h = h * 0x85EBCA6B & _U32
+    h ^= h >> 13
+    h = h * 0xC2B2AE35 & _U32
+    h ^= h >> 16
+    return h.astype(np.uint32).view(np.int32)
+
+
+def partition_keys(w: int) -> np.ndarray:
+    """``keys[i]``: the least int k >= 0 with ``pmod(hash(k), w) == i``,
+    so ``repartition(w, key)`` sends ``keys[i]`` to Spark partition i."""
+    n = 64 * w
+    while True:
+        part, first = np.unique(_spark_hash_int(np.arange(n)) % w, return_index=True)
+        if len(part) == w:
+            return first.astype(np.int32)
+        n *= 2
+
+
+def _fanout(
+    df: DataFrame, part: Partitioning, side: str, dims: list[str], task_key: np.ndarray
+) -> DataFrame:
+    """Map each row to its tasks (one output row per assignment), tagged
+    with the partition key ``task_key[task]`` of the task's worker."""
 
     def gen(batches):
         for pdf in batches:
@@ -46,41 +105,38 @@ def _fanout(df: DataFrame, part: Partitioning, side: str, dims: list[str]) -> Da
             idx, task = part.assign(pts, side, ids=ids)
             out = pdf.iloc[idx][["id", *dims]].copy()
             out["task"] = task
-            out["worker"] = t2w[task]
+            out["pkey"] = task_key[task]
             out["side"] = side
             yield out
 
     schema = (
         "id long, "
         + ", ".join(f"{c} double" for c in dims)
-        + ", task long, worker int, side string"
+        + ", task long, pkey int, side string"
     )
     return df.mapInPandas(gen, schema=schema)
 
 
-def distributed_band_join(
-    spark: SparkSession,
+def band_join_frame(
     S_df: DataFrame,
     T_df: DataFrame,
     part: Partitioning,
-    eps,
+    eps: np.ndarray,
     dims: list[str],
-    produce_pairs: bool = False,
-):
-    """Run the band-join under ``part``.
-
-    Returns ``(result, stats, wall_seconds)`` where ``result`` is a
-    pandas DataFrame of (s_id, t_id) pairs when ``produce_pairs`` else
-    None, and ``stats`` is a pandas DataFrame with one row per worker:
-    (worker, input_s, input_t, output). Raises ``ValueError`` unless
-    ``eps`` holds one band width >= 0 per entry of ``dims``.
-    """
-    eps = band_widths(eps, len(dims))
-    fan_s = _fanout(S_df, part, "S", dims)
-    fan_t = _fanout(T_df, part, "T", dims)
-    allrows = fan_s.unionByName(fan_t).repartition(part.w, F.col("worker"))
+    produce_pairs: bool,
+) -> DataFrame:
+    """The lazy pipeline behind :func:`distributed_band_join`: (s_id, t_id)
+    rows if ``produce_pairs``, else one row per worker (worker, input_s,
+    input_t, output, seconds), the last being its local-join time."""
+    keys = partition_keys(part.w)
+    worker_of = {int(k): i for i, k in enumerate(keys)}
+    task_key = keys[part.task_to_worker]
+    fan_s = _fanout(S_df, part, "S", dims, task_key)
+    fan_t = _fanout(T_df, part, "T", dims, task_key)
+    allrows = fan_s.unionByName(fan_t).repartition(part.w, F.col("pkey"))
 
     def join_group(pdf: pd.DataFrame) -> pd.DataFrame:
+        t0 = time.perf_counter()
         s = pdf[pdf["side"] == "S"]
         t = pdf[pdf["side"] == "T"]
         task_s = s["task"].to_numpy(np.int64)
@@ -98,37 +154,51 @@ def distributed_band_join(
                 }
             )
         _, total = band_join_tasks(task_s, pts_s, task_t, pts_t, eps)
-        worker = int(pdf["worker"].iloc[0]) if len(pdf) else -1
         # shuffle input = one record per (tuple, task) copy, the paper's
         # MapReduce accounting (each grid cell / block pair is its own
         # reduce group)
         return pd.DataFrame(
             {
-                "worker": [worker],
+                "worker": [worker_of[int(pdf["pkey"].iloc[0])]],
                 "input_s": [len(s)],
                 "input_t": [len(t)],
                 "output": [total],
+                "seconds": [time.perf_counter() - t0],
             }
         )
 
-    t0 = time.perf_counter()
     if produce_pairs:
-        res = (
-            allrows.groupBy("worker")
-            .applyInPandas(join_group, schema="s_id long, t_id long")
-            .toPandas()
-        )
-        wall = time.perf_counter() - t0
-        return res, None, wall
-    stats = (
-        allrows.groupBy("worker")
-        .applyInPandas(
-            join_group, schema="worker int, input_s long, input_t long, output long"
-        )
-        .toPandas()
-    )
+        schema = "s_id long, t_id long"
+    else:
+        schema = "worker int, input_s long, input_t long, output long, seconds double"
+    return allrows.groupBy("pkey").applyInPandas(join_group, schema=schema)
+
+
+def distributed_band_join(
+    spark: SparkSession,
+    S_df: DataFrame,
+    T_df: DataFrame,
+    part: Partitioning,
+    eps,
+    dims: list[str],
+    produce_pairs: bool = False,
+):
+    """Run the band-join under ``part``.
+
+    Returns ``(result, stats, wall_seconds)`` where ``result`` is a
+    pandas DataFrame of (s_id, t_id) pairs when ``produce_pairs`` else
+    None, and ``stats`` is a pandas DataFrame with one row per worker
+    that received rows: (worker, input_s, input_t, output, seconds),
+    ``seconds`` being the worker's local-join time. Raises
+    ``ValueError`` unless ``eps`` holds one band width >= 0 per entry of
+    ``dims``.
+    """
+    eps = band_widths(eps, len(dims))
+    _install_site_daemon(spark)
+    t0 = time.perf_counter()
+    out = band_join_frame(S_df, T_df, part, eps, dims, produce_pairs).toPandas()
     wall = time.perf_counter() - t0
-    return None, stats, wall
+    return (out, None, wall) if produce_pairs else (None, out, wall)
 
 
 def catalyst_band_join_count(

@@ -64,3 +64,16 @@ class TestFit:
         times = np.array([3.0, 2.0, 1.0])  # decreasing: negative slope
         got = fit(rows, times)
         assert got.b1 >= 0
+
+    def test_refits_without_a_negative_coefficient(self):
+        """Dropping a coefficient that comes out negative must refit the
+        rest, not keep the intercept and slopes tuned alongside it."""
+        rng = np.random.default_rng(1)
+        rows = rng.random((40, 3)) * 1e5
+        rows[:, 2] = 0.0
+        times = 0.5 + 2e-6 * rows[:, 0] - 1e-6 * rows[:, 1]
+        got = fit(rows, times)
+        A = np.column_stack([np.ones(len(rows)), rows[:, 0]])
+        want, *_ = np.linalg.lstsq(A, times, rcond=None)
+        pred = np.array([got.predict(*r) for r in rows])
+        assert pred == pytest.approx(A @ want, rel=1e-9)

@@ -1,7 +1,12 @@
 """Spark integration tests: the distributed band-join operator under
 every partitioning, verified row-by-row against the DuckDB oracle."""
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
+import pyspark
 import pytest
 from pyspark.sql import functions as F
 
@@ -9,7 +14,15 @@ from repro.baselines.grid_eps import GridPartitioning
 from repro.baselines.iejoin import IEJoinPartitioning
 from repro.baselines.one_bucket import OneBucketPartitioning
 from repro.core.recpart import recpart
-from repro.dist.band_join import catalyst_band_join_count, distributed_band_join
+from repro.dist import _daemon
+from repro.dist.band_join import (
+    DAEMON_KEY,
+    _install_site_daemon,
+    band_join_frame,
+    catalyst_band_join_count,
+    distributed_band_join,
+    partition_keys,
+)
 from repro.dist.metrics import evaluate_partitioning
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem, orders, pareto_points, to_spark
@@ -67,6 +80,9 @@ def test_counts_path_matches_pairs_path(spark, data):
     part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
     pairs, _, _ = distributed_band_join(spark, S_df, T_df, part, EPS, DIMS, produce_pairs=True)
     _, stats, _ = distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    assert list(pairs.columns) == ["s_id", "t_id"]
+    assert list(stats.columns) == ["worker", "input_s", "input_t", "output", "seconds"]
+    assert (stats["seconds"] > 0).all()
     assert stats["output"].sum() == len(pairs)
 
 
@@ -115,6 +131,106 @@ def test_bad_eps_raises(spark, data, eps):
     part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
     with pytest.raises(ValueError, match="band width"):
         distributed_band_join(spark, S_df, T_df, part, eps, DIMS)
+
+
+def test_workers_import_pyspark_outside_zips(spark, data):
+    """After a join, Spark's Python workers load pyspark from
+    site-packages and hold no zip importer, whose re-reading on every
+    task is the fixed per-task cost the daemon removes."""
+
+    def imports(batches):
+        for _ in batches:
+            cache = sys.path_importer_cache.values()
+            yield pd.DataFrame(
+                {
+                    "file": [pyspark.__file__],
+                    "zips": [sum(isinstance(f, zipimport.zipimporter) for f in cache)],
+                }
+            )
+
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    got = (
+        spark.range(4, numPartitions=2)
+        .mapInPandas(imports, "file string, zips int")
+        .toPandas()
+    )
+    assert not got["file"].str.contains(".zip", regex=False).any()
+    assert (got["zips"] == 0).all()
+
+
+def _without_daemon_key(spark):
+    conf = spark.sparkContext._conf
+    before = conf.get(DAEMON_KEY)
+    conf._jconf.remove(DAEMON_KEY)
+    return conf, before
+
+
+@pytest.mark.parametrize(
+    "attr, value",
+    [("__version__", "0.0.0"), ("__file__", "/x/lib/pyspark.zip/pyspark/__init__.py")],
+)
+def test_stock_daemon_kept_unless_driver_pyspark_serves_workers(
+    spark, monkeypatch, attr, value
+):
+    """A driver pyspark of another version than the JVM, or one read from
+    a zip, says nothing of a site-packages pyspark the workers could use."""
+    conf, before = _without_daemon_key(spark)
+    monkeypatch.setattr(pyspark, attr, value)
+    try:
+        _install_site_daemon(spark)
+        assert conf.get(DAEMON_KEY) is None
+    finally:
+        if before is not None:
+            conf.set(DAEMON_KEY, before)
+
+
+def test_explicit_daemon_module_is_kept(spark):
+    conf, before = _without_daemon_key(spark)
+    conf.set(DAEMON_KEY, "pyspark.daemon")
+    try:
+        _install_site_daemon(spark)
+        assert conf.get(DAEMON_KEY) == "pyspark.daemon"
+    finally:
+        conf._jconf.remove(DAEMON_KEY)
+        if before is not None:
+            conf.set(DAEMON_KEY, before)
+
+
+def test_daemon_path_kept_when_pyspark_is_only_zipped(tmp_path):
+    zipped = tmp_path / "pyspark.zip"
+    with zipfile.ZipFile(zipped, "w") as z:
+        z.writestr("pyspark/__init__.py", "")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    path = [str(zipped), str(plain), str(tmp_path / "core.jar")]
+    assert _daemon.site_path(path) == path
+    (plain / "pyspark").mkdir()
+    (plain / "pyspark" / "__init__.py").write_text("")
+    assert _daemon.site_path(path) == [str(plain)]
+
+
+@pytest.mark.parametrize("w", [1, 4, 30, 97])
+def test_partition_keys_hash_to_their_partition(spark, w):
+    keys = partition_keys(w)
+    df = spark.createDataFrame(
+        pd.DataFrame({"i": np.arange(w, dtype=np.int32), "k": keys})
+    )
+    assert df.filter(F.pmod(F.hash("k"), F.lit(w)) != F.col("i")).count() == 0
+
+
+def test_one_worker_per_spark_partition(spark, data):
+    """Each logical worker is its own Spark partition, and grouping by the
+    partition key adds no shuffle after the repartition."""
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    frame = band_join_frame(S_df, T_df, part, EPS, DIMS, produce_pairs=False)
+    got = frame.select("worker", F.spark_partition_id().alias("p")).toPandas()
+    assert sorted(got["worker"]) == [0, 1, 2, 3]
+    assert (got["worker"] == got["p"]).all()
+    plan = frame._jdf.queryExecution().executedPlan().toString()
+    assert plan.count("Exchange") == 1
 
 
 class TestTpchDateBandJoin:
