@@ -9,6 +9,11 @@ meets exactly once — in the S-tuple's cell. Cells are hashed to workers
 (the grid is fine-grained by construction, which is also why the paper
 credits Grid-eps with fast per-cell local processing).
 
+T copies come out grouped by cell offset and, within a group, in the
+lexicographic order of the row's lowest cell (:func:`expand_t_cells`),
+so the task ids of each group ascend: the cell-to-task lookup and the
+local join's sort and searches over the copies then run on ordered data.
+
 Grid* (Section 6.5) tunes the grid: starting from cell = eps it tries
 cell = j*eps for growing j, predicts join time for each candidate with
 the cost model M on sample-estimated (I, I_m, O_m), and stops at a local
@@ -32,30 +37,58 @@ def _mix_rows(cells: np.ndarray, w: int, seed: int) -> np.ndarray:
     return (h % np.uint64(w)).astype(np.int64)
 
 
+def grid_origin(points: np.ndarray, eps: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Lower corner of the grid over ``points`` (S and T stacked): one
+    ``eps`` and one cell below their per-dimension minimum, so no S-tuple
+    and no T-tuple's eps-range reaches a negative cell index. The grid,
+    its T copies and the analytic copy count all use this origin."""
+    low = points.min(axis=0) if len(points) else np.zeros(points.shape[1])
+    return low - eps - cell
+
+
+def _cell_bounds(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origin: np.ndarray):
+    """Per tuple and dimension, the first and last index of the cells
+    the closed eps-range ``[t - eps, t + eps]`` touches."""
+    lo = np.floor((points - eps - origin) / cell).astype(np.int64)
+    hi = np.floor((points + eps - origin) / cell).astype(np.int64)
+    return lo, hi
+
+
 def expand_t_cells(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origin: np.ndarray):
     """All grid cells intersecting each T-tuple's closed eps-range.
 
     Returns (row_idx, cells) where cells is an int (n_out, d) array.
     Cell k in dim i spans the half-open [origin + k*cell, origin + (k+1)*cell).
+
+    The copies come in one block per cell offset ``(o_0..o_{d-1})`` from
+    a row's lowest touched cell, and within a block in the lexicographic
+    order of that lowest cell (ties by row). Adding the offset keeps that
+    order, so each block's cells, and the task ids ranked from them, are
+    ascending: binary searches over the copies then probe in order. Only
+    the n_T rows are sorted, not the copies.
     """
-    lo = np.floor((points - eps - origin) / cell).astype(np.int64)
-    hi = np.floor((points + eps - origin) / cell).astype(np.int64)
-    span = hi - lo  # per-tuple per-dim number of extra cells
-    max_span = span.max(axis=0) if len(points) else np.zeros(points.shape[1], np.int64)
+    lo, hi = _cell_bounds(points, eps, cell, origin)
+    d = points.shape[1]
+    # lexsort's last key is its primary one
+    order = np.lexsort(lo.T[::-1])
+    lo = lo[order]
+    span = hi[order] - lo  # per-tuple per-dim number of extra cells
+    max_span = span.max(axis=0) if len(points) else np.zeros(d, np.int64)
+    # reaches[i][k]: the rows whose eps-range reaches offset k in dim i
+    reaches = [[span[:, i] >= k for k in range(m + 1)] for i, m in enumerate(max_span)]
     idx_parts, cell_parts = [], []
     # iterate over the (small) cartesian product of per-dim offsets
-    grids = np.meshgrid(*[np.arange(m + 1) for m in max_span], indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1) if len(grids) else np.zeros((1, 0))
-    for off in offsets.astype(np.int64):
-        mask = np.all(off <= span, axis=1)
-        if not mask.any():
-            continue
-        idx_parts.append(np.flatnonzero(mask))
-        cell_parts.append(lo[mask] + off)
+    for off in np.ndindex(*(max_span + 1)):
+        mask = reaches[0][off[0]].copy()
+        for i in range(1, d):
+            mask &= reaches[i][off[i]]
+        rows = np.flatnonzero(mask)
+        if len(rows):
+            idx_parts.append(order[rows])
+            cell_parts.append(lo[rows] + off)
     if not idx_parts:
-        d = points.shape[1]
         return np.empty(0, np.int64), np.empty((0, d), np.int64)
-    return np.concatenate(idx_parts), np.vstack(cell_parts)
+    return np.concatenate(idx_parts), np.concatenate(cell_parts)
 
 
 def expansion_count(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origin) -> int:
@@ -64,8 +97,7 @@ def expansion_count(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origi
     the number of cells its eps-range touches. Used to detect (and
     account for) the O(3^d) blow-up at high dimensionality analytically
     (paper Section 5.1)."""
-    lo = np.floor((points - eps - origin) / cell).astype(np.int64)
-    hi = np.floor((points + eps - origin) / cell).astype(np.int64)
+    lo, hi = _cell_bounds(points, eps, cell, origin)
     return int((hi - lo + 1).prod(axis=1).sum())
 
 
@@ -88,8 +120,7 @@ def grid_eps_analytic(
     is exactly what the paper's Table 4c shows); O_m = o_total/w."""
     eps = np.asarray(eps, dtype=float)
     cell = np.asarray(cell_sizes, dtype=float)
-    both = np.vstack([S_pts, T_pts]).astype(float)
-    origin = both.min(axis=0) - eps - cell
+    origin = grid_origin(np.vstack([S_pts, T_pts]).astype(float), eps, cell)
     I = len(S_pts) + expansion_count(np.asarray(T_pts, float), eps, cell, origin)
     rng = np.random.default_rng(seed)
     k = min(sample, len(T_pts))
@@ -139,8 +170,7 @@ class GridPartitioning(Partitioning):
         both = np.vstack([S_pts, T_pts]).astype(float)
         if not np.isfinite(both).all():
             raise ValueError("Grid-eps needs finite coordinates (got NaN or inf)")
-        low = both.min(axis=0) if len(both) else np.zeros(both.shape[1])
-        self.origin = low - self.eps - self.cell
+        self.origin = grid_origin(both, self.eps, self.cell)
         top = (both.max(axis=0) + self.eps - self.origin) / self.cell if len(both) else 0
         if np.max(top) >= 2.0**62:
             raise ValueError("Grid-eps cell indices exceed the int64 range; use larger cells")

@@ -15,6 +15,13 @@ once* using integer **rank-space keys**:
   two more ``searchsorted`` calls on the key array give every S row's
   candidate range at once.
 
+Every one of these binary searches probes in sorted order
+(:func:`_search_in_order`). One stable sort of T on ``A_1`` gives ``V``,
+each T row's rank (``V`` searched for itself) and, with a second stable
+sort by task on top, the key order. S's bounds are searched on ``V`` in
+``A_1`` order and on the key array in key order, then scattered back to
+S row order, so the windows are those of the plain searches.
+
 Integer keys keep dim-0 candidate selection free of float normalization
 and of blow-up on heavy-tailed domains whose span dwarfs the band width.
 The pad makes the window a superset of what the exact filter accepts:
@@ -104,20 +111,23 @@ def band_join_tasks(
             return np.empty(0, np.int64), np.empty(0, np.int64), 0
         return counts, 0
 
+    # a stable sort by task on top of the one on A_1 is
+    # lexsort((A_1, task)); probes below go in sorted order
     t0_vals = pts_t[:, 0].astype(float)
-    V = np.sort(t0_vals)
+    by_t = np.argsort(t0_vals, kind="stable")
+    V = t0_vals[by_t]
     M = np.int64(len(V) + 1)
 
-    order_t = np.lexsort((t0_vals, task_t))
-    rank_t = np.searchsorted(V, t0_vals[order_t], side="left").astype(np.int64)
+    order_t = by_t[np.argsort(task_t[by_t], kind="stable")]
+    rank_t = _search_in_order(V, t0_vals, by_t, "left")[order_t]
     key_t = task_t[order_t].astype(np.int64) * M + rank_t
 
-    low, high = _band_bounds(pts_s[:, 0].astype(float), eps[0])
-    rlo = np.searchsorted(V, low, side="left").astype(np.int64)
-    rhi = np.searchsorted(V, high, side="right").astype(np.int64)
-    base = task_s.astype(np.int64) * M
-    lo = np.searchsorted(key_t, base + rlo, side="left")
-    hi = np.searchsorted(key_t, base + rhi, side="left")
+    s0 = pts_s[:, 0].astype(float)
+    low, high = _band_bounds(s0, eps[0])
+    by_s = np.argsort(s0)
+    rlo = _search_in_order(V, low, by_s, "left")
+    rhi = _search_in_order(V, high, by_s, "right")
+    lo, hi = _key_windows(key_t, task_s.astype(np.int64) * M, rlo, rhi)
     widths = hi - lo
 
     # candidate windows: lo[j]..hi[j]-1 index rows pts_t[t_rows] for S
@@ -177,6 +187,32 @@ def band_join_tasks(
     return counts, total
 
 
+def _search_in_order(a: np.ndarray, v: np.ndarray, by: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(a, v, side)``, probing ``v`` in the order of the
+    permutation ``by`` and scattering the result back, so it equals the
+    plain call for any ``by``.
+
+    A binary search per probe in input order misses cache at every level
+    of a large ``a``; when ``by`` sorts ``v``, or nearly, successive
+    probes walk the same path.
+    """
+    out = np.empty(len(v), np.int64)
+    out[by] = np.searchsorted(a, v[by], side=side)
+    return out
+
+
+def _key_windows(key_t, base, rlo, rhi):
+    """Positions ``[lo, hi)`` of the keys in ``[base + rlo, base + rhi)``
+    in the sorted ``key_t``: both searches probe in the order of
+    ``base + rlo``."""
+    key_lo = base + rlo
+    by = np.argsort(key_lo)
+    return (
+        _search_in_order(key_t, key_lo, by, "left"),
+        _search_in_order(key_t, base + rhi, by, "left"),
+    )
+
+
 def _band_bounds(a: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
     """``fl(a -+ e)`` moved out by four ulps of ``max(|a|, e)``: bounds
     that hold every ``t`` the exact filter ``fl(|a - t|) <= e`` accepts.
@@ -231,9 +267,7 @@ def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     key_t = block_t.astype(np.int64) * M + rank_t
     perm = np.argsort(key_t, kind="stable")
     key_t = key_t[perm]
-    base = block_s.astype(np.int64) * M
-    lo = np.searchsorted(key_t, base + rlo[owner], side="left")
-    hi = np.searchsorted(key_t, base + rhi[owner], side="left")
+    lo, hi = _key_windows(key_t, block_s.astype(np.int64) * M, rlo[owner], rhi[owner])
     return owner, lo, hi, perm
 
 

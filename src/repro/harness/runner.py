@@ -26,6 +26,7 @@ from ..baselines.grid_eps import (
     GridPartitioning,
     expansion_count,
     grid_eps_analytic,
+    grid_origin,
     grid_star,
 )
 from ..baselines.iejoin import IEJoinPartitioning
@@ -161,7 +162,7 @@ def run_method(
     eps = band_widths(eps, 1 if np.ndim(S) == 1 else np.shape(S)[1])
     cm = cost_model or CostModel()
     if method == "grid_eps" and np.all(eps > 0):
-        origin = np.vstack([S, T]).min(axis=0) - 2 * eps
+        origin = grid_origin(np.vstack([S, T]).astype(float), eps, eps)
         if expansion_count(np.asarray(T, float), eps, eps, origin) > GRID_ANALYTIC_LIMIT:
             return _grid_analytic_run(S, T, eps, w, cm, int(o_total_hint or 0), seed)
     part, opt_time, extra = build_partitioning(

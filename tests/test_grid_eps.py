@@ -1,5 +1,6 @@
 """Tests for Grid-eps / Grid* attribute-space grid partitioning,
 including the paper's Lemmas 2 and 3."""
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.baselines.grid_eps import (
     expand_t_cells,
     expansion_count,
     grid_eps_analytic,
+    grid_origin,
     grid_star,
 )
 from repro.dist.metrics import evaluate_partitioning
@@ -42,6 +44,83 @@ class TestExpandCells:
         origin = np.array([-2.0, -2.0, -2.0])
         idx, _ = expand_t_cells(pts, eps, cell, origin)
         assert expansion_count(pts, eps, cell, origin) == len(idx)
+
+
+def _brute_force_cells(points, eps, cell, origin):
+    """Every (row, cell...) with cell k in dim i spanning the half-open
+    ``[origin + k*cell, origin + (k+1)*cell)`` and meeting the closed
+    ``[t - eps, t + eps]``, by testing each candidate cell."""
+    out = []
+    for r, t in enumerate(points):
+        per_dim = []
+        for i in range(len(t)):
+            k0 = math.floor((t[i] - origin[i]) / cell[i])
+            per_dim.append([
+                k for k in range(k0 - 4, k0 + 5)
+                if origin[i] + k * cell[i] <= t[i] + eps[i]
+                and origin[i] + (k + 1) * cell[i] > t[i] - eps[i]
+            ])
+        out += [(r, *c) for c in itertools.product(*per_dim)]
+    return sorted(out)
+
+
+def _pairs(idx, cells):
+    return sorted(map(tuple, np.column_stack([idx, cells]).tolist()))
+
+
+class TestExpandCellsOrder:
+    """Dyadic coordinates and widths keep every float step exact, so
+    ``t +- eps`` lands exactly on cell boundaries."""
+
+    @pytest.mark.parametrize("eps_v, cell_v", [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.0, 0.5), (0.75, 2.0)])
+    def test_equals_brute_force_on_cell_boundaries(self, eps_v, cell_v):
+        rng = np.random.default_rng(40)
+        pts = rng.integers(-8, 9, (300, 3)) / 4.0
+        eps, cell = np.full(3, eps_v), np.full(3, cell_v)
+        origin = np.array([-5.0, -4.5, -6.0])
+        idx, cells = expand_t_cells(pts, eps, cell, origin)
+        want = _brute_force_cells(pts, eps, cell, origin)
+        assert _pairs(idx, cells) == want
+        assert expansion_count(pts, eps, cell, origin) == len(want)
+
+    def test_shuffled_rows_give_the_same_copies(self):
+        rng = np.random.default_rng(41)
+        pts = rng.integers(-8, 9, (400, 2)) / 2.0
+        eps, cell, origin = np.full(2, 1.0), np.full(2, 1.0), np.full(2, -7.0)
+        perm = rng.permutation(len(pts))
+        idx, cells = expand_t_cells(pts, eps, cell, origin)
+        idx_p, cells_p = expand_t_cells(pts[perm], eps, cell, origin)
+        assert _pairs(perm[idx_p], cells_p) == _pairs(idx, cells)
+
+    def test_copies_come_by_offset_then_lowest_cell(self):
+        rng = np.random.default_rng(42)
+        pts = rng.integers(-8, 9, (500, 3)) / 4.0
+        eps, cell, origin = np.array([1.0, 0.5, 0.25]), np.full(3, 0.5), np.full(3, -4.0)
+        idx, cells = expand_t_cells(pts, eps, cell, origin)
+        again = expand_t_cells(pts.copy(), eps, cell, origin)
+        assert np.array_equal(idx, again[0]) and np.array_equal(cells, again[1])
+        lowest = np.floor((pts - eps - origin) / cell).astype(np.int64)
+        off = cells - lowest[idx]
+        # offset blocks in lexicographic order, each sorted by (lowest cell, row)
+        key = np.column_stack([off, lowest[idx], idx])
+        assert np.array_equal(np.lexsort(key.T[::-1]), np.arange(len(idx)))
+        blocks = np.flatnonzero(np.any(off[1:] != off[:-1], axis=1)) + 1
+        for block in np.split(cells, blocks):
+            assert np.array_equal(np.lexsort(block.T[::-1]), np.arange(len(block)))
+
+    def test_one_origin_for_the_grid_and_the_copy_count(self):
+        # (4.38 - 0.7) - 0.7 and 4.38 - 2 * 0.7 round one ulp apart, and
+        # T's 4.38 touches one more cell from the second: the analytic
+        # switch must count copies from the origin the grid uses
+        S = np.array([[4.38], [5.0]])
+        T = np.array([[4.38], [4.9]])
+        eps = np.array([0.7])
+        part = GridPartitioning(S, T, eps, eps, 4)
+        both = np.vstack([S, T])
+        assert np.array_equal(part.origin, grid_origin(both, eps, eps))
+        ti, _ = part.assign(T, "T")
+        assert expansion_count(T, eps, eps, part.origin) == len(ti)
+        assert expansion_count(T, eps, eps, both.min(axis=0) - 2 * eps) == len(ti) + 1
 
 
 class TestGridPartitioning:
@@ -98,6 +177,22 @@ class TestGridPartitioning:
         with pytest.raises(KeyError):
             part.assign(np.array([[0.0, 100.0, 0.0]]), "S")
         part.assign(S, "S")  # occupied cells still resolve
+
+    def test_unknown_cell_raises_for_t(self):
+        S = pareto_points(100, 1.5, 1, seed=9)
+        part = GridPartitioning(S, S, np.array([10.0]), np.array([10.0]), 4)
+        with pytest.raises(KeyError):
+            part.assign(np.array([[1e12]]), "T")
+        # d=3: the copies of a point between two far-apart ones land in
+        # the unoccupied box, and one unseen copy is enough
+        S = np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]])
+        eps = np.full(3, 1.0)
+        part = GridPartitioning(S, S, eps, eps, 4)
+        with pytest.raises(KeyError):
+            part.assign(np.array([[50.0, 50.0, 50.0]]), "T")
+        with pytest.raises(KeyError):
+            part.assign(np.array([[0.0, 0.0, 2.5]]), "T")
+        part.assign(S, "T")  # occupied cells still resolve
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["S", "T"])

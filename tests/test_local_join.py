@@ -172,19 +172,27 @@ def _task_points(rng, n, d, dense, cents=False):
     return pts
 
 
+#: dim-0 values shared by S and T in the ``ties`` order: every row of a
+#: task ties with a third of the others on A_1
+_TIES = {False: [-0.5, 0.0, 0.5], True: [0.3, 1.0, 1.7]}
+
+
+@pytest.mark.parametrize("ratio", [0, local_join._GRID_MIN_RATIO, 10**18], ids=["grid", "default", "dim0"])
+@pytest.mark.parametrize("s_order", ["shuffled", "reversed", "ties"])
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
     d=st.sampled_from([2, 3, 8]),
-    ratio=st.sampled_from([0, local_join._GRID_MIN_RATIO, 10**18]),
     chunk=st.sampled_from([97, local_join.CHUNK_CANDIDATES, 8_000_000]),
     cents=st.booleans(),
 )
-def test_property_both_paths_equal_brute_force(data, d, ratio, chunk, cents):
+def test_property_both_paths_equal_brute_force(data, d, chunk, cents, s_order, ratio):
     """Counts, total and ordered pairs on the ε-grid path (ratio 0), the
     dim-0 path (huge ratio) and the default choice, over several tasks
     (one with S rows only), dense clusters, eps 0 on grid dims, and
-    half-integer or two-decimal coordinates."""
+    half-integer or two-decimal coordinates. The window searches probe S
+    in sorted order and scatter back, so S arrives shuffled, in reverse
+    A_1 order, or (``ties``) with A_1 drawn from three shared values."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     n_tasks = data.draw(st.integers(1, 3))
     dense = data.draw(st.booleans())
@@ -193,8 +201,13 @@ def test_property_both_paths_equal_brute_force(data, d, ratio, chunk, cents):
     T = np.vstack([_task_points(rng, n_t, d, dense, cents) for _ in range(n_tasks)])
     ts = np.repeat(np.arange(n_tasks + 1), 25)
     tt = np.repeat(np.arange(n_tasks), n_t)
+    if s_order == "ties":
+        S[:, 0] = rng.choice(_TIES[cents], len(S))
+        T[:, 0] = rng.choice(_TIES[cents], len(T))
     # permute rows so tasks and coordinates arrive unsorted
     s_perm, t_perm = rng.permutation(len(S)), rng.permutation(len(T))
+    if s_order == "reversed":
+        s_perm = np.argsort(-S[:, 0], kind="stable")
     S, ts, T, tt = S[s_perm], ts[s_perm], T[t_perm], tt[t_perm]
     widths = [0.0, 0.1, 0.7, 1.3] if cents else [0.0, 0.5, 1.0, 2.0]
     eps = np.array(data.draw(st.lists(st.sampled_from(widths), min_size=d, max_size=d)))
