@@ -14,10 +14,11 @@ The state of the art for distributed theta-joins before RecPart:
    M-Bucket-I).
 3. Cover all relevant cells with at most w pairwise-disjoint rectangles
    minimizing max rectangle load, via binary search on the load cap with
-   a strip-greedy packer. (Substitution, documented in DESIGN.md: the
-   paper's O(n^5 log n) optimal tiling is replaced by this heuristic
-   from the same M-Bucket-I family; optimization cost still grows
-   quadratically in stripe count and with matrix density.)
+   a strip-greedy packer (:class:`StripCover`). (Substitution,
+   documented in DESIGN.md: the paper's O(n^5 log n) optimal tiling is
+   replaced by this heuristic from the same M-Bucket-I family;
+   optimization cost still grows quadratically in stripe count and with
+   matrix density.)
 
 An S-tuple is shipped to every rectangle that covers a relevant cell in
 its stripe's row; correctness: relevant cells partition among disjoint
@@ -111,6 +112,94 @@ class StripePartitioning(Partitioning):
         return idx, tasks[pos]
 
 
+class StripCover:
+    """Greedy strip covers of the relevant cells of a stripe matrix.
+
+    ``cover(cap)`` walks the rows top-down. At row i it packs every strip
+    of rows [i, i+h), for growing h, into rectangles of load <= cap
+    (cutting its relevant columns left to right), keeps the h with the
+    most covered cells per rectangle, and moves on to row i+h.
+
+    What a strip needs does not depend on the cap: its S load, covered
+    cell count, relevant columns and their loads. They are built on
+    first use and kept across caps, a block of heights at a time, the
+    relevant columns of a block by a cumulative OR down its rows.
+    """
+
+    def __init__(self, R, s_in, t_in, o_cells, cm: CostModel, w: int):
+        self.R, self.s_in, self.t_in, self.cm, self.w = R, s_in, t_in, cm, int(w)
+        self.o_row_prefix = np.vstack([np.zeros(R.shape[1]), np.cumsum(o_cells, axis=0)])
+        #: row i -> [(S load, covered cells, relevant columns, their
+        #: loads)] for strip heights 1, 2, ...
+        self._strips: dict[int, list] = {}
+
+    def strip(self, i: int, h: int):
+        R, cm = self.R, self.cm
+        got = self._strips.setdefault(i, [])
+        if len(got) < h:
+            k0 = len(got)
+            k1 = min(len(R) - i, max(h, 2 * k0))
+            rel = R[i + k0:i + k1].copy()
+            if k0:
+                rel[0, got[-1][2]] = True  # the shorter strip's columns
+            np.logical_or.accumulate(rel, axis=0, out=rel)
+            out = self.o_row_prefix[i + k0 + 1:i + k1 + 1] - self.o_row_prefix[i]
+            hh, cc = np.nonzero(rel)
+            adds = (cm.b2 * self.t_in[cc] + cm.b3 * out[hh, cc]).tolist()
+            covered = (got[-1][1] if k0 else 0) + np.cumsum(R[i + k0:i + k1].sum(axis=1))
+            start = 0
+            for k, end in enumerate(np.cumsum(rel.sum(axis=1)).tolist()):
+                s_load = cm.b2 * self.s_in[i:i + k0 + k + 1].sum()
+                got.append((s_load, int(covered[k]), cc[start:end], adds[start:end]))
+                start = end
+        return got[h - 1]
+
+    @staticmethod
+    def pack(s_load: float, adds: list[float], cap: float) -> list[int] | None:
+        """Greedily cut a strip's relevant columns into rectangles of load
+        <= cap; returns the column position where each rectangle after the
+        first starts, or None if a single column exceeds the cap."""
+        cuts, cur, n = [], s_load, 0
+        for k, add in enumerate(adds):
+            if n and cur + add > cap:
+                cuts.append(k)
+                cur, n = s_load, 0
+            n += 1
+            cur += add
+            if cur > cap and n == 1:
+                return None
+        return cuts
+
+    def cover(self, cap: float) -> list[tuple[int, int, list[int]]] | None:
+        """The strips (i, h, cuts) of the cover at load cap ``cap``, or
+        None if it needs more than w rectangles."""
+        strips, n_rects, i = [], 0, 0
+        while i < len(self.R):
+            best = None
+            for h in range(1, len(self.R) - i + 1):
+                s_load, covered, _, adds = self.strip(i, h)
+                cuts = self.pack(s_load, adds, cap)
+                if cuts is None:
+                    break
+                score = covered / (len(cuts) + 1)
+                if best is None or score > best[0]:
+                    best = (score, h, cuts)
+            if best is None:
+                return None
+            strips.append((i, best[1], best[2]))
+            n_rects += len(best[2]) + 1
+            i += best[1]
+            if n_rects > self.w:
+                return None
+        return strips
+
+    def rects(self, strips) -> list[tuple[int, int, np.ndarray]]:
+        """The rectangles (first row, end row, columns) of a cover."""
+        return [
+            (i, i + h, cols) for i, h, cuts in strips for cols in np.split(self.strip(i, h)[2], cuts)
+        ]
+
+
 def build_csio(
     S_pts: np.ndarray,
     T_pts: np.ndarray,
@@ -132,51 +221,7 @@ def build_csio(
     bnd_s = _quantile_boundaries(samples.s_pts[:, 0], g)
     bnd_t = _quantile_boundaries(samples.t_pts[:, 0], g)
     R, s_in, t_in, o_cells = stripe_stats(bnd_s, bnd_t, eps[0], samples)
-    gs, gt = R.shape
-    o_row_prefix = np.vstack([np.zeros(gt), np.cumsum(o_cells, axis=0)])
-
-    def pack_strip(i: int, h: int, cap: float):
-        """Greedily pack rows [i, i+h) into rectangles of load <= cap.
-        Returns (list of (r1, r2, cols_array), covered_cells) or None."""
-        rows = slice(i, i + h)
-        rel_cols = np.flatnonzero(R[rows].any(axis=0))
-        s_load = cm.b2 * s_in[rows].sum()
-        out_cols = o_row_prefix[i + h] - o_row_prefix[i]
-        rects, cur, cur_load = [], [], s_load
-        for j in rel_cols:
-            add = cm.b2 * t_in[j] + cm.b3 * out_cols[j]
-            if cur and cur_load + add > cap:
-                rects.append((i, i + h, np.array(cur)))
-                cur, cur_load = [], s_load
-            cur.append(int(j))
-            cur_load += add
-            if cur_load > cap and len(cur) == 1:
-                return None  # a single column exceeds the cap
-        if cur:
-            rects.append((i, i + h, np.array(cur)))
-        covered = int(R[rows].sum())
-        return rects, covered
-
-    def cover(cap: float):
-        rects = []
-        i = 0
-        while i < gs:
-            best = None
-            for h in range(1, gs - i + 1):
-                got = pack_strip(i, h, cap)
-                if got is None:
-                    break
-                strip_rects, covered = got
-                score = covered / len(strip_rects)
-                if best is None or score > best[0]:
-                    best = (score, h, strip_rects)
-            if best is None:
-                return None
-            rects.extend(best[2])
-            i += best[1]
-            if len(rects) > w:
-                return None
-        return rects
+    sc = StripCover(R, s_in, t_in, o_cells, cm, w)
 
     # binary search the smallest feasible load cap with <= w rectangles
     cells = np.argwhere(R)
@@ -184,28 +229,29 @@ def build_csio(
     cell_min = float(cell_loads.max())
     total = cm.b2 * (s_in.sum() + t_in.sum()) + cm.b3 * o_cells.sum()
     lo_cap, hi_cap = cell_min, max(total, cell_min) * 2 + 1.0
-    best_rects = cover(hi_cap)
-    assert best_rects is not None, "cover must be feasible at total load"
+    best_cover = sc.cover(hi_cap)
+    assert best_cover is not None, "cover must be feasible at total load"
     for _ in range(28):
         mid = (lo_cap + hi_cap) / 2
-        got = cover(mid)
+        got = sc.cover(mid)
         if got is not None:
-            best_rects, hi_cap = got, mid
+            best_cover, hi_cap = got, mid
         else:
             lo_cap = mid
 
-    # rectangle of each relevant cell, and rectangle loads
+    # rectangle of each relevant cell, and rectangle loads: the S load of
+    # its rows with a relevant cell, then each relevant column's T and
+    # output load, summed in that order
     cell_rect = np.full(R.shape, -1, dtype=np.int64)
     rect_loads = []
-    for k, (r1, r2, cols) in enumerate(best_rects):
+    for k, (r1, r2, cols) in enumerate(sc.rects(best_cover)):
         cell_rect[r1:r2, cols] = k
         rel = R[r1:r2, cols]
-        o_strip = o_row_prefix[r2] - o_row_prefix[r1]
-        load = 0.0
-        for i in r1 + np.flatnonzero(rel.any(axis=1)):
-            load += cm.b2 * s_in[i]
-        for j in cols[rel.any(axis=0)]:
-            load += cm.b2 * t_in[j]
-            load += cm.b3 * float(o_strip[j])
-        rect_loads.append(load)
+        o_strip = sc.o_row_prefix[r2] - sc.o_row_prefix[r1]
+        c = cols[rel.any(axis=0)]
+        terms = np.concatenate([
+            cm.b2 * s_in[r1 + np.flatnonzero(rel.any(axis=1))],
+            np.column_stack([cm.b2 * t_in[c], cm.b3 * o_strip[c]]).ravel(),
+        ])
+        rect_loads.append(float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0)
     return StripePartitioning(bnd_s, bnd_t, cells, cell_rect[R], rect_loads, w)

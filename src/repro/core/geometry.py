@@ -28,19 +28,24 @@ def band_widths(eps, d: int) -> np.ndarray:
     return e
 
 
-def check_relation(pts, name: str) -> None:
-    """Raises ``ValueError`` naming relation ``name`` unless it has at
-    least one tuple and every coordinate is finite. A NaN or infinite
-    coordinate lies in no region (a NaN T-tuple would be shipped to no
-    task), and sizing statistics on an empty relation divides by zero."""
+def check_relation(pts, name: str) -> np.ndarray:
+    """Relation ``name`` as a float array of shape (n, d); a 1-D relation
+    has one join attribute, so (n,) becomes (n, 1). Raises
+    ``ValueError`` naming the relation unless it has at least one tuple
+    and every coordinate is finite. A NaN or infinite coordinate lies in
+    no region (a NaN T-tuple would be shipped to no task), and sizing
+    statistics on an empty relation divides by zero."""
     a = np.asarray(pts, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
     if a.size == 0:
         raise ValueError(f"relation {name} is empty")
-    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    bad = ~np.isfinite(a).all(axis=1)
     if bad.any():
         raise ValueError(
             f"relation {name} has a NaN or infinite coordinate in row {int(np.argmax(bad))}"
         )
+    return a
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,8 @@ class FrozenTree(Partitioning):
     Task ids are assigned in leaf order: each leaf gets a contiguous
     block of ``r * c`` cell tasks. ``task_to_worker`` comes from LPT over
     per-cell load estimates supplied by the optimizer (uniform if absent)
-    — our stand-in for the paper's cluster scheduler.
+    — our stand-in for the paper's cluster scheduler — unless the
+    optimizer passes the LPT schedule of ``cell_loads`` it already has.
     """
 
     def __init__(
@@ -102,6 +103,7 @@ class FrozenTree(Partitioning):
         w: int,
         cell_loads: np.ndarray | None = None,
         seed: int = 0,
+        task_to_worker: np.ndarray | None = None,
     ):
         self.root = root.clone()
         self.eps = np.asarray(eps, dtype=float)
@@ -116,7 +118,9 @@ class FrozenTree(Partitioning):
         if cell_loads is None:
             cell_loads = np.ones(self.n_tasks)
         assert len(cell_loads) == self.n_tasks, (len(cell_loads), self.n_tasks)
-        self.task_to_worker = lpt_schedule(np.asarray(cell_loads, dtype=float), self.w)
+        if task_to_worker is None:
+            task_to_worker = lpt_schedule(np.asarray(cell_loads, dtype=float), self.w)
+        self.task_to_worker = task_to_worker
 
     # -- Algorithm 3 (vectorized): route tuples down the tree ------------
     def assign(self, points, side, ids=None):

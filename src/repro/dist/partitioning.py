@@ -108,9 +108,9 @@ def _lpt_heap(tasks: np.ndarray, loads: np.ndarray, worker_load: np.ndarray, out
     heapq.heapify(heap)
     picked = []
     for load in loads.tolist():
-        cur, wk = heapq.heappop(heap)
+        cur, wk = heap[0]
         picked.append(wk)
-        heapq.heappush(heap, (cur + load, wk))
+        heapq.heapreplace(heap, (cur + load, wk))
     out[tasks] = picked
     for cur, wk in heap:
         worker_load[wk] = cur

@@ -89,10 +89,11 @@ def build_partitioning(
     optimization seconds, method-specific extras). Pre-drawn ``samples``
     are shared by the sample-based optimizers so that reported
     optimization times exclude statistics gathering, which the paper
-    accounts for separately (Section 6.1). Raises ``ValueError`` when S
-    or T is empty or holds a non-finite coordinate."""
-    check_relation(S, "S")
-    check_relation(T, "T")
+    accounts for separately (Section 6.1). A 1-D relation is one join
+    attribute. Raises ``ValueError`` when S or T is empty or holds a
+    non-finite coordinate. RecPart's extras are its iteration count,
+    leaf count and why it stopped (``RecPartResult.stop_reason``)."""
+    S, T = check_relation(S, "S"), check_relation(T, "T")
     t0 = time.perf_counter()
     extra: dict = {}
     if method in ("recpart", "recpart_s"):
@@ -105,7 +106,7 @@ def build_partitioning(
             samples=samples,
         )
         part = res.partitioning
-        extra = {"iters": res.n_iters, "leaves": part.n_leaves}
+        extra = {"iters": res.n_iters, "leaves": part.n_leaves, "stop_reason": res.stop_reason}
     elif method == "csio":
         part = build_csio(S, T, eps, w, cost_model=cost_model, seed=seed, samples=samples)
     elif method == "one_bucket":
@@ -157,13 +158,12 @@ def run_method(
     o_total_hint: int | None = None,
 ) -> MethodRun:
     """Build + exactly evaluate + model-estimate one method."""
-    check_relation(S, "S")
-    check_relation(T, "T")
-    eps = band_widths(eps, 1 if np.ndim(S) == 1 else np.shape(S)[1])
+    S, T = check_relation(S, "S"), check_relation(T, "T")
+    eps = band_widths(eps, S.shape[1])
     cm = cost_model or CostModel()
     if method == "grid_eps" and np.all(eps > 0):
-        origin = grid_origin(np.vstack([S, T]).astype(float), eps, eps)
-        if expansion_count(np.asarray(T, float), eps, eps, origin) > GRID_ANALYTIC_LIMIT:
+        origin = grid_origin(np.vstack([S, T]), eps, eps)
+        if expansion_count(T, eps, eps, origin) > GRID_ANALYTIC_LIMIT:
             return _grid_analytic_run(S, T, eps, w, cm, int(o_total_hint or 0), seed)
     part, opt_time, extra = build_partitioning(
         method, S, T, eps, w, cm, seed=seed, termination=termination, samples=samples
@@ -195,11 +195,10 @@ def run_suite(
     tables. Grid-eps falls back to the analytic path (using the exact
     output total from an earlier method) when duplication would exceed
     :data:`GRID_ANALYTIC_LIMIT` copies."""
+    S, T = check_relation(S, "S"), check_relation(T, "T")
     eps = np.asarray(eps, dtype=float)
     cm = cost_model or CostModel()
-    samples = draw_samples(
-        np.asarray(S, float), np.asarray(T, float), eps, seed=seed
-    )
+    samples = draw_samples(S, T, eps, seed=seed)
     out: dict[str, MethodRun | None] = {}
     o_total = None
     # run grid-family methods last so o_total is known for the analytic path

@@ -7,6 +7,8 @@ from repro.harness import experiments as X
 from repro.harness.runner import MethodRun, build_partitioning, run_method, run_suite
 from repro.harness.tables import HEADER, PAPER, format_rows
 
+from tests.helpers import assert_partitioning_correct, brute_force_count
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -61,6 +63,19 @@ class TestRunMethod:
             run_method(method, rel["S"], rel["T"], eps, 4)
         with pytest.raises(ValueError, match=match):
             build_partitioning(method, rel["S"], rel["T"], eps, 4, CostModel())
+
+    @pytest.mark.parametrize(
+        "method",
+        ["recpart", "recpart_s", "csio", "one_bucket", "grid_eps", "grid_star", "iejoin:10"],
+    )
+    def test_one_dimensional_relations(self, method):
+        """A 1-D relation is one join attribute, whatever its length."""
+        rng = np.random.default_rng(0)
+        S, T = rng.random(50), rng.random(60)
+        r = run_method(method, S, T, [0.1], 4, seed=0)
+        part, _, _ = build_partitioning(method, S, T, np.array([0.1]), 4, CostModel())
+        assert r.eval.O_total == brute_force_count(S[:, None], T[:, None], [0.1])
+        assert_partitioning_correct(part, S[:, None], T[:, None], [0.1])
 
     def test_iejoin_param_parsing(self, small):
         S, T = small

@@ -176,3 +176,38 @@ class TestSymmetric:
         eps = np.array([1000.0])
         res = recpart(S, T, eps, w=6, seed=0, symmetric=True)
         assert_partitioning_correct(res.partitioning, S, T, eps)
+
+
+class TestStopReason:
+    def test_bound(self, pareto3d):
+        S, T = pareto3d
+        res = recpart(S, T, np.full(3, 50.0), w=8, seed=0, termination="theoretical")
+        assert res.stop_reason == "bound"
+        assert res.history[-1]["dup_ov"] > min(h["load_ov"] for h in res.history)
+
+    def test_window(self, pareto3d):
+        S, T = pareto3d
+        res = recpart(S, T, np.full(3, 50.0), w=8, seed=0, termination="applied")
+        assert res.stop_reason == "window"
+        objs = [h["obj"] for h in res.history]
+        assert min(objs) > 0.99 * min(objs[:-8])
+
+    def test_max_iters(self, pareto3d):
+        S, T = pareto3d
+        res = recpart(S, T, np.full(3, 50.0), w=8, seed=0, max_iters=5)
+        assert res.stop_reason == "max_iters"
+        assert res.n_iters == 5
+
+    def test_no_split(self):
+        # one S and one T tuple at the same point: no split lowers the load
+        res = recpart(np.array([[0.0]]), np.array([[0.0]]), np.array([0.0]), w=4, seed=0)
+        assert res.stop_reason == "no_split"
+        assert res.n_iters == 0
+
+    def test_reported_by_build_partitioning(self, pareto3d):
+        from repro.harness.runner import build_partitioning
+
+        S, T = pareto3d
+        _, _, extra = build_partitioning("recpart", S, T, np.full(3, 50.0), 8, CostModel())
+        assert extra["stop_reason"] == "bound"
+        assert set(extra) == {"iters", "leaves", "stop_reason"}
