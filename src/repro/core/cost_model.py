@@ -34,6 +34,14 @@ class CostModel:
     b3: float = 1.0   # per-tuple weight of output on the most loaded worker
     unit: float = 1e-6  # seconds per weighted tuple (absolute scale)
 
+    def __post_init__(self):
+        # a negative cost per tuple is non-physical, and RecPart's bounds
+        # on split scores assume loads grow with the tuples counted
+        if not all(b >= 0 for b in (self.b1, self.b2, self.b3)):
+            raise ValueError(
+                f"cost coefficients b1, b2, b3 must be >= 0, got {self.b1}, {self.b2}, {self.b3}"
+            )
+
     def predict(self, I: float, I_m: float, O_m: float) -> float:
         return self.b0 + self.unit * (self.b1 * I + self.b2 * I_m + self.b3 * O_m)
 

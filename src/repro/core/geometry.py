@@ -31,11 +31,14 @@ def band_widths(eps, d: int) -> np.ndarray:
 def check_relation(pts, name: str) -> np.ndarray:
     """Relation ``name`` as a float array of shape (n, d); a 1-D relation
     has one join attribute, so (n,) becomes (n, 1). Raises
-    ``ValueError`` naming the relation unless it has at least one tuple
-    and every coordinate is finite. A NaN or infinite coordinate lies in
-    no region (a NaN T-tuple would be shipped to no task), and sizing
-    statistics on an empty relation divides by zero."""
+    ``ValueError`` naming the relation unless it is a 1-D or 2-D array
+    with at least one tuple and every coordinate finite. A NaN or
+    infinite coordinate lies in no region (a NaN T-tuple would be
+    shipped to no task), and sizing statistics on an empty relation
+    divides by zero."""
     a = np.asarray(pts, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"relation {name} must be a 1-D or 2-D array, got {a.ndim} dimensions")
     if a.ndim == 1:
         a = a[:, None]
     if a.size == 0:

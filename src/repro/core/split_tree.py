@@ -90,10 +90,9 @@ class FrozenTree(Partitioning):
     """Immutable split tree acting as a :class:`Partitioning`.
 
     Task ids are assigned in leaf order: each leaf gets a contiguous
-    block of ``r * c`` cell tasks. ``task_to_worker`` comes from LPT over
-    per-cell load estimates supplied by the optimizer (uniform if absent)
-    — our stand-in for the paper's cluster scheduler — unless the
-    optimizer passes the LPT schedule of ``cell_loads`` it already has.
+    block of ``r * c`` cell tasks. ``task_to_worker`` is the optimizer's
+    LPT schedule of its per-cell load estimates — our stand-in for the
+    paper's cluster scheduler — or LPT over uniform loads if absent.
     """
 
     def __init__(
@@ -101,7 +100,6 @@ class FrozenTree(Partitioning):
         root: TreeNode,
         eps: np.ndarray,
         w: int,
-        cell_loads: np.ndarray | None = None,
         seed: int = 0,
         task_to_worker: np.ndarray | None = None,
     ):
@@ -115,11 +113,9 @@ class FrozenTree(Partitioning):
             leaf.task_base = base
             base += leaf.r * leaf.c
         self.n_tasks = base
-        if cell_loads is None:
-            cell_loads = np.ones(self.n_tasks)
-        assert len(cell_loads) == self.n_tasks, (len(cell_loads), self.n_tasks)
         if task_to_worker is None:
-            task_to_worker = lpt_schedule(np.asarray(cell_loads, dtype=float), self.w)
+            task_to_worker = lpt_schedule(np.ones(self.n_tasks), self.w)
+        assert len(task_to_worker) == self.n_tasks, (len(task_to_worker), self.n_tasks)
         self.task_to_worker = task_to_worker
 
     # -- Algorithm 3 (vectorized): route tuples down the tree ------------

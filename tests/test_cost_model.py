@@ -20,6 +20,12 @@ class TestPredict:
         cm = CostModel()
         assert cm.load(10, 8) == 4 * 10 + 8
 
+    @pytest.mark.parametrize("coef", ["b1", "b2", "b3"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan])
+    def test_negative_coefficient_rejected(self, coef, value):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            CostModel(**{coef: value})
+
     def test_monotone_in_each_argument(self):
         cm = CostModel()
         base = cm.predict(100, 10, 10)

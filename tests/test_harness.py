@@ -48,14 +48,21 @@ class TestRunMethod:
             ("T", "empty", "relation T is empty"),
             ("S", np.nan, "relation S has a NaN or infinite coordinate in row 7"),
             ("T", np.inf, "relation T has a NaN or infinite coordinate in row 7"),
+            ("S", "3-D", "relation S must be a 1-D or 2-D array, got 3 dimensions"),
+            ("T", "scalar", "relation T must be a 1-D or 2-D array, got 0 dimensions"),
         ],
     )
     def test_bad_relation_raises(self, small, method, side, bad, match):
         """Empty relations raised ZeroDivisionError in four methods; a NaN
-        T-row was accepted silently by three."""
+        T-row was accepted silently by three; a 3-D relation was checked
+        row by row of its flattened mask, and a scalar raised AxisError."""
         rel = {"S": small[0].copy(), "T": small[1].copy()}
         if bad == "empty":
             rel[side] = rel[side][:0]
+        elif bad == "3-D":
+            rel[side] = rel[side][:, :, None]
+        elif bad == "scalar":
+            rel[side] = rel[side][0, 0]
         else:
             rel[side][7, 1] = bad
         eps = np.array([30.0, 30.0])

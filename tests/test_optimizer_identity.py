@@ -147,6 +147,44 @@ def test_tie_across_dimensions_goes_to_lower_dimension():
     assert opt._best_split_regular(opt.root) == want
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(leaf=leaves(), small=st.booleans(), r=st.integers(1, 4), c=st.integers(1, 4))
+def test_score_at_most_queue_bound(symmetric, leaf, small, r, c):
+    """A leaf waits in the queue under ``_bound`` until that reaches the
+    top, so no split of it, regular or small-mode, may score above it."""
+    S, T, Os, Ot, eps, (sw_s, sw_t, sw_o), _ = leaf
+    sm = Samples(S, T, sw_s, sw_t, Os, Ot, sw_o, len(S), len(T))
+    if small:  # every side within twice the band width: 1-Bucket mode
+        span = np.ptp(np.vstack([S, T]), axis=0)
+        eps = np.maximum(eps, span + 1.0)
+    opt = rp._Optimizer(sm, eps, 4, CostModel(), symmetric, "theoretical", 0, None)
+    if small:
+        assert opt.root.rect.is_small(eps)
+        opt.root.r, opt.root.c = r, c
+    key, _ = opt.best_split(opt.root)
+    assert key <= opt._bound(opt.root)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_runs_score_at_most_queue_bound(symmetric, monkeypatch):
+    """The same along a whole run that reaches small-mode leaves."""
+    scored = []
+    best_split = rp._Optimizer.best_split
+
+    def checked(self, node):
+        key, split = best_split(self, node)
+        assert key <= self._bound(node)
+        scored.append(split and split[0])
+        return key, split
+
+    monkeypatch.setattr(rp._Optimizer, "best_split", checked)
+    S = pareto_points(4000, 1.5, 3, seed=1)
+    T = pareto_points(4000, 1.5, 3, seed=2)
+    rp.recpart(S, T, np.full(3, 200.0), 8, symmetric=symmetric, seed=0)
+    assert "regular" in scored and "row" in scored
+
+
 # -- RecPart: fixed-seed runs -------------------------------------------------
 def recpart_digest(S, T, eps, w, **kw) -> str:
     """Digest of a run: every split applied, the best tree's nodes and

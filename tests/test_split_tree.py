@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.geometry import Rect
 from repro.core.split_tree import FrozenTree, TreeNode
+from repro.dist.partitioning import lpt_schedule
 
 from tests.helpers import assert_partitioning_correct
 
@@ -135,13 +136,21 @@ class TestFrozenTree:
         ft = FrozenTree(root, np.array([1.0]), w=4)
         assert ft.n_tasks == 5  # 4 cells + 1 regular leaf
 
-    def test_cell_loads_length_checked(self):
+    def test_schedule_length_checked(self):
         with pytest.raises(AssertionError):
-            FrozenTree(_tree_1d(), np.array([1.0]), w=2, cell_loads=np.ones(5))
+            FrozenTree(_tree_1d(), np.array([1.0]), w=2, task_to_worker=np.zeros(5, np.int64))
 
-    def test_lpt_uses_cell_loads(self):
-        ft = FrozenTree(_tree_1d(), np.array([1.0]), w=2, cell_loads=np.array([3.0, 1.0]))
+    def test_schedule_kept(self):
+        tw = lpt_schedule(np.array([3.0, 1.0]), 2)
+        ft = FrozenTree(_tree_1d(), np.array([1.0]), w=2, task_to_worker=tw)
+        assert ft.task_to_worker is tw
         assert ft.task_to_worker[0] != ft.task_to_worker[1]
+
+    def test_uniform_default_schedule(self):
+        root = _tree_1d()
+        root.left.r, root.left.c = 2, 2
+        ft = FrozenTree(root, np.array([1.0]), w=5)
+        assert sorted(ft.task_to_worker.tolist()) == [0, 1, 2, 3, 4]
 
     def test_frozen_independent_of_original(self):
         root = _tree_1d()
