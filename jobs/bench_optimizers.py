@@ -15,7 +15,9 @@ produced, and the two trees' digests must match:
   nodes with their (r, c) grids, ``task_to_worker``, ``n_iters`` and
   every history ``obj``;
 * CS_IO: the stripe bounds, each relevant cell's rectangle and the
-  rectangle loads.
+  rectangle loads;
+* both: the routing, ``assign`` of the full S and of the full T
+  (row, task) under the partitioning returned.
 
 Usage (from the repository root)::
 
@@ -79,7 +81,12 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def _recpart_digest(run) -> str:
+def _routing(part, S, T) -> list:
+    """``(idx, task)`` of ``part.assign`` on all of S, then of T."""
+    return [*part.assign(S, "S"), *part.assign(T, "T")]
+
+
+def _recpart_digest(run, S, T) -> str:
     """Run ``run()`` while recording every split the optimizer applies."""
     from repro.core import split_tree
 
@@ -102,10 +109,11 @@ def _recpart_digest(run) -> str:
         if not n.is_leaf:
             stack += [n.right, n.left]
     objs = [float(h["obj"]) for h in res.history]
-    return _digest([splits, nodes, res.partitioning.task_to_worker, res.n_iters, objs])
+    part = res.partitioning
+    return _digest([splits, nodes, part.task_to_worker, res.n_iters, objs, *_routing(part, S, T)])
 
 
-def _csio_digest(run) -> str:
+def _csio_digest(run, S, T) -> str:
     """Run ``run()`` while recording the arguments CS_IO gives its
     :class:`StripePartitioning`."""
     from repro.baselines import csio
@@ -121,10 +129,10 @@ def _csio_digest(run) -> str:
 
     csio.StripePartitioning = Recording
     try:
-        run()
+        part = run()
     finally:
         csio.StripePartitioning = base
-    return _digest(seen[0])
+    return _digest([*seen[0], *_routing(part, S, T)])
 
 
 def worker(repeat: int, only: set[str] | None) -> dict:
@@ -148,7 +156,7 @@ def worker(repeat: int, only: set[str] | None) -> dict:
             if method == "csio":
                 def run():
                     return build_csio(S, T, eps, w, cost_model=cm, samples=samples, seed=0)
-                digest = _csio_digest(run)
+                digest = _csio_digest(run, S, T)
                 case = f"{name}/csio"
             else:
                 def run():
@@ -156,7 +164,7 @@ def worker(repeat: int, only: set[str] | None) -> dict:
                         S, T, eps, w, symmetric=(method == "recpart"), termination=term,
                         cost_model=cm, seed=0, samples=samples,
                     )
-                digest = _recpart_digest(run)
+                digest = _recpart_digest(run, S, T)
                 case = f"{name}/{method}/{term}"
             secs = []
             if method in TIMED:

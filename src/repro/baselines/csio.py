@@ -7,8 +7,8 @@ The state of the art for distributed theta-joins before RecPart:
    space is linearized in **row-major order** — per the paper's own
    Section 5.2 analysis this minimizes candidate cells when stripes are
    wider than the band width, and it makes stripe relevance exact: the
-   quantiles are taken on A_1 and a cell (i, j) is *relevant* iff the
-   A_1-intervals of stripe i and stripe j are within eps_1.
+   quantiles are taken on A_1 and a cell (i, j) is *relevant* iff T
+   stripe j meets the band bounds of S stripe i's A_1-interval.
 2. Estimate stripe input (input sample) and per-cell output (output
    sample, the same IO-awareness that distinguishes CS_IO from
    M-Bucket-I).
@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.cost_model import CostModel
+from ..core.geometry import band_bounds
 from ..core.sampling import Samples, draw_samples
 from ..dist.partitioning import Partitioning, expand_ranges, lpt_schedule
 
@@ -51,20 +52,18 @@ def stripe_stats(bnd_s: np.ndarray, bnd_t: np.ndarray, eps0: float, samples: Sam
 
     S stripe i is ``[bnd_s[i-1], bnd_s[i])`` with ±inf outer bounds, so
     each side's stripes tile the real line. Returns ``(R, s_in, t_in,
-    o_cells)``: ``R[i, j]`` iff S stripe i and T stripe j are within
-    ``eps0`` of each other (exact relevance on A_1); ``s_in``/``t_in``
+    o_cells)``: ``R[i, j]`` unless T stripe j lies beyond the
+    :func:`band_bounds` of S stripe i's ends; ``s_in``/``t_in``
     estimate each stripe's input in tuples; ``o_cells[i, j]`` estimates
     the output of cell (i, j) from the output sample.
     """
     gs, gt = len(bnd_s) + 1, len(bnd_t) + 1
-    lo_s = np.concatenate([[-np.inf], bnd_s])
-    hi_s = np.concatenate([bnd_s, [np.inf]])
     lo_t = np.concatenate([[-np.inf], bnd_t])
     hi_t = np.concatenate([bnd_t, [np.inf]])
-    R = ~(
-        (lo_t[None, :] > hi_s[:, None] + eps0)
-        | (hi_t[None, :] < lo_s[:, None] - eps0)
-    )
+    reach_lo, reach_hi = band_bounds(bnd_s, eps0)
+    reach_lo = np.concatenate([[-np.inf], reach_lo])
+    reach_hi = np.concatenate([reach_hi, [np.inf]])
+    R = ~((lo_t[None, :] > reach_hi[:, None]) | (hi_t[None, :] < reach_lo[:, None]))
     s_in = np.bincount(
         np.searchsorted(bnd_s, samples.s_pts[:, 0], side="right"), minlength=gs
     ) * samples.sw_s

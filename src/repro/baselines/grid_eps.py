@@ -24,7 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.cost_model import CostModel
+from ..core.geometry import band_bounds
 from ..dist.partitioning import Partitioning
+
+#: Grid*'s largest cell multiple j and its sample sizes; the T-tuples
+#: :func:`grid_eps_analytic` samples for its I_m estimate
+_MAX_J, _K_SAMPLE, _ANALYTIC_SAMPLE = 4096, 8192, 2000
 
 
 def _mix_rows(cells: np.ndarray, w: int, seed: int) -> np.ndarray:
@@ -38,20 +43,19 @@ def _mix_rows(cells: np.ndarray, w: int, seed: int) -> np.ndarray:
 
 
 def grid_origin(points: np.ndarray, eps: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Lower corner of the grid over ``points`` (S and T stacked): one
-    ``eps`` and one cell below their per-dimension minimum, so no S-tuple
-    and no T-tuple's eps-range reaches a negative cell index. The grid,
-    its T copies and the analytic copy count all use this origin."""
+    """Lower corner of the grid over ``points`` (S and T stacked): a cell
+    below the lower :func:`band_bounds` of their per-dimension minimum,
+    so no eps-range reaches a negative cell index. The grid, its T
+    copies and the analytic copy count all use this origin."""
     low = points.min(axis=0) if len(points) else np.zeros(points.shape[1])
-    return low - eps - cell
+    return band_bounds(low, eps)[0] - cell
 
 
 def _cell_bounds(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origin: np.ndarray):
     """Per tuple and dimension, the first and last index of the cells
-    the closed eps-range ``[t - eps, t + eps]`` touches."""
-    lo = np.floor((points - eps - origin) / cell).astype(np.int64)
-    hi = np.floor((points + eps - origin) / cell).astype(np.int64)
-    return lo, hi
+    its eps-range touches: those of its :func:`band_bounds`, as the cell
+    index ``floor((x - origin) / cell)`` is monotone in ``x``."""
+    return tuple(np.floor((b - origin) / cell).astype(np.int64) for b in band_bounds(points, eps))
 
 
 def expand_t_cells(points: np.ndarray, eps: np.ndarray, cell: np.ndarray, origin: np.ndarray):
@@ -108,7 +112,6 @@ def grid_eps_analytic(
     cell_sizes,
     w: int,
     o_total: int = 0,
-    sample: int = 2000,
     seed: int = 0,
 ):
     """Analytic Grid-eps metrics for settings where materializing the
@@ -123,7 +126,7 @@ def grid_eps_analytic(
     origin = grid_origin(np.vstack([S_pts, T_pts]).astype(float), eps, cell)
     I = len(S_pts) + expansion_count(np.asarray(T_pts, float), eps, cell, origin)
     rng = np.random.default_rng(seed)
-    k = min(sample, len(T_pts))
+    k = min(_ANALYTIC_SAMPLE, len(T_pts))
     t_sample = np.asarray(T_pts, float)[rng.choice(len(T_pts), k, replace=False)]
     _, cells = expand_t_cells(t_sample, eps, cell, origin)
     wk = _mix_rows(cells, w, seed)
@@ -171,7 +174,8 @@ class GridPartitioning(Partitioning):
         if not np.isfinite(both).all():
             raise ValueError("Grid-eps needs finite coordinates (got NaN or inf)")
         self.origin = grid_origin(both, self.eps, self.cell)
-        top = (both.max(axis=0) + self.eps - self.origin) / self.cell if len(both) else 0
+        high = band_bounds(both.max(axis=0), self.eps)[1] if len(both) else self.origin
+        top = (high - self.origin) / self.cell
         if np.max(top) >= 2.0**62:
             raise ValueError("Grid-eps cell indices exceed the int64 range; use larger cells")
         cs = np.floor((S_pts - self.origin) / self.cell).astype(np.int64)
@@ -234,8 +238,6 @@ def grid_star(
     eps,
     w: int,
     cost_model: CostModel | None = None,
-    max_j: int = 4096,
-    k_sample: int = 8192,
     seed: int = 0,
 ) -> tuple[GridPartitioning, int, list[tuple[int, float]]]:
     """Grid*: coarsen cell = j*eps (j doubling then refined: 1,2,3,...)
@@ -248,12 +250,12 @@ def grid_star(
     cm = cost_model or CostModel()
     sm = draw_samples(
         np.asarray(S_pts, float), np.asarray(T_pts, float), eps,
-        k_input=k_sample, k_output_base=k_sample, seed=seed,
+        k_input=_K_SAMPLE, k_output_base=_K_SAMPLE, seed=seed,
     )
     trace: list[tuple[int, float]] = []
     best_j, best_t = None, float("inf")
     j = 1
-    while j <= max_j:
+    while j <= _MAX_J:
         part = GridPartitioning(sm.s_pts, sm.t_pts, eps, j * eps, w, seed=seed)
         ev = evaluate_partitioning(
             part, sm.s_pts, sm.t_pts, eps, beta2=cm.b2, beta3=cm.b3

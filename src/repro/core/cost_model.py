@@ -45,10 +45,6 @@ class CostModel:
     def predict(self, I: float, I_m: float, O_m: float) -> float:
         return self.b0 + self.unit * (self.b1 * I + self.b2 * I_m + self.b3 * O_m)
 
-    def load(self, I_w: float, O_w: float) -> float:
-        """Per-worker load L = b2*I_w + b3*O_w (paper Section 2)."""
-        return self.b2 * I_w + self.b3 * O_w
-
     def with_ratio(self, b2_over_b1: float) -> "CostModel":
         """Table 8/13 sweep: fix b1, scale the local-cost block
         ``b2*(4*I_m + O_m)`` by the requested ratio (b2/b3 stays 4)."""

@@ -7,7 +7,7 @@ splitting ``[lo, hi)`` at ``v`` on dim ``i`` yields ``[lo, v)`` and
 
 The eps-range around a tuple ``t`` is the *closed* box
 ``[t - eps, t + eps]`` (paper Section 2); a T-tuple must be copied to
-every child region its eps-range intersects.
+every child region its eps-range intersects (:func:`band_bounds`).
 """
 from __future__ import annotations
 
@@ -26,6 +26,25 @@ def band_widths(eps, d: int) -> np.ndarray:
     if np.isnan(e).any() or (e < 0).any():
         raise ValueError(f"band widths must be >= 0 and not NaN, got {e.tolist()}")
     return e
+
+
+def band_bounds(a, e) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``(lo, hi)`` holding every ``t`` that the local join's
+    exact filter ``fl(|a - t|) <= e`` accepts: ``fl(a -+ e)``, or the
+    float inside it where that rounded past the band, unless the float
+    beyond still joins. The filter's slack, half an ulp of ``e``, then
+    spans finer ulps (``a = 0.7, t = -1e-17`` join at ``e = 0.7``, yet
+    ``fl(a - e) = 0``), and ``fl(a -+ e)`` moves out by four ulps of
+    ``max(|a|, e)``, capped at the ulp of 2^1023 so that an infinite
+    ``e`` gives infinite bounds. Rounding is monotone, so the bounds of
+    a boundary hold the reach of every value on its side."""
+    lo, hi = a - e, a + e
+    lo = np.where(np.abs(a - lo) <= e, lo, np.nextafter(lo, np.inf))
+    hi = np.where(np.abs(hi - a) <= e, hi, np.nextafter(hi, -np.inf))
+    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(a), e), 2.0**1023))
+    lo = np.where(np.abs(a - np.nextafter(lo, -np.inf)) <= e, (a - e) - pad, lo)
+    hi = np.where(np.abs(np.nextafter(hi, np.inf) - a) <= e, (a + e) + pad, hi)
+    return lo, hi
 
 
 def check_relation(pts, name: str) -> np.ndarray:
@@ -68,21 +87,12 @@ class Rect:
         return Rect(lo, hi)
 
     @property
-    def d(self) -> int:
-        return len(self.lo)
-
-    @property
     def sides(self) -> np.ndarray:
         return self.hi - self.lo
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask: point inside ``[lo, hi)``."""
         return np.all((pts >= self.lo) & (pts < self.hi), axis=1)
-
-    def intersects_eps_range(self, pts: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Mask of points whose closed eps-range ``[p-eps, p+eps]``
-        intersects this half-open box."""
-        return np.all((pts + eps >= self.lo) & (pts - eps < self.hi), axis=1)
 
     def split(self, dim: int, value: float) -> tuple["Rect", "Rect"]:
         """Split at ``value`` on ``dim``; value must lie strictly inside."""

@@ -38,7 +38,7 @@ from ..dist.partitioning import expand_ranges, lpt_schedule
 from .cost_model import CostModel
 from .geometry import Rect
 from .sampling import Samples, draw_samples
-from .split_tree import FrozenTree, TreeNode
+from .split_tree import FrozenTree, TreeNode, split_bounds, split_masks
 
 #: split score = variance reduction / duplication increase. A sample
 #: showing zero duplicates only bounds the true duplication below one
@@ -91,7 +91,6 @@ class RecPartResult:
     n_iters: int
     objective: float
     history: list[dict] = field(default_factory=list)
-    samples: Samples | None = None
     #: why the search stopped: "bound" (theoretical rule: duplication
     #: overhead passed the best load overhead), "window" (applied rule:
     #: under 1% better over the last w iterations), "max_iters", or
@@ -359,24 +358,15 @@ class _Optimizer:
         split = st.best_split
         if split[0] == "regular":
             _, dim, value, dup_side = split
-            e = self.eps[dim]
-            if dup_side == "T":
-                s_mask = st.S[:, dim] < value
-                t_left = st.T[:, dim] - e < value
-                t_right = st.T[:, dim] + e >= value
-                o_mask = self.o_cols[0][dim, st.pairs[0]] < value
-                SL, SR = st.S[s_mask], st.S[~s_mask]
-                TL, TR = st.T[t_left], st.T[t_right]
-            else:
-                t_mask = st.T[:, dim] < value
-                s_left = st.S[:, dim] - e < value
-                s_right = st.S[:, dim] + e >= value
-                o_mask = self.o_cols[1][dim, st.pairs[1]] < value
-                SL, SR = st.S[s_left], st.S[s_right]
-                TL, TR = st.T[t_mask], st.T[~t_mask]
+            # samples go where FrozenTree.assign sends them, output pairs by the undivided side
+            bounds = split_bounds(value, self.eps[dim])
+            s_left, s_right = split_masks(st.S[:, dim], value, bounds, dup_side == "S")
+            t_left, t_right = split_masks(st.T[:, dim], value, bounds, dup_side == "T")
+            side = 0 if dup_side == "T" else 1
+            o_mask = self.o_cols[side][dim, st.pairs[side]] < value
             left, right = node.to_inner(dim, value, dup_side)
-            left.payload = LeafState(SL, TL, *self._output_part(st, o_mask))
-            right.payload = LeafState(SR, TR, *self._output_part(st, ~o_mask))
+            left.payload = LeafState(st.S[s_left], st.T[t_left], *self._output_part(st, o_mask))
+            right.payload = LeafState(st.S[s_right], st.T[t_right], *self._output_part(st, ~o_mask))
             k = self.leaves.index(node)
             self.leaves[k:k + 1] = [left, right]
             self.stats = np.concatenate(
@@ -487,7 +477,6 @@ class _Optimizer:
             n_iters=len(objs) - 1,
             objective=best_obj,
             history=self.history,
-            samples=self.sm,
             stop_reason=stop,
         )
 
@@ -502,23 +491,17 @@ def recpart(
     termination: str = "applied",
     cost_model: CostModel | None = None,
     seed: int = 0,
-    k_input: int = 8192,
-    k_output_base: int = 20000,
     max_iters: int | None = None,
     samples: Samples | None = None,
 ) -> RecPartResult:
     """Run RecPart (``symmetric=True``) or RecPart-S (``symmetric=False``)
-    and return the best frozen partitioning plus optimization stats."""
+    and return the best frozen partitioning plus optimization stats.
+    Without ``samples`` it draws them at :func:`draw_samples`' sizes."""
     eps = np.asarray(eps, dtype=float)
     cm = cost_model or CostModel()
     if samples is None:
         samples = draw_samples(
-            np.asarray(S_pts, dtype=float),
-            np.asarray(T_pts, dtype=float),
-            eps,
-            k_input=k_input,
-            k_output_base=k_output_base,
-            seed=seed,
+            np.asarray(S_pts, dtype=float), np.asarray(T_pts, dtype=float), eps, seed=seed
         )
     opt = _Optimizer(samples, eps, w, cm, symmetric, termination, seed, max_iters)
     return opt.run()

@@ -7,7 +7,7 @@ the path (paper Figure 7). Inner nodes carry ``(dim, value, dup_side)``:
 * ``dup_side == 'T'`` is a *T-split* (paper default): S is partitioned
   without duplication (``s.A_dim < value`` goes left), while T-tuples
   within band width of the boundary are copied to both children
-  (``t - eps < value`` -> left, ``t + eps >= value`` -> right).
+  (:func:`split_bounds`).
 * ``dup_side == 'S'`` is the symmetric *S-split* (Section 4.2 extension).
 
 Leaves may be in "small" 1-Bucket mode with an internal r x c matrix
@@ -16,9 +16,10 @@ T-tuple to a column (r cells), so every joining pair shares exactly one
 cell. Regular leaves are the degenerate r = c = 1 case.
 
 For every result pair (s, t) exactly one leaf cell receives both tuples:
-at a T-split, s goes to exactly one child and (because |s-t| <= eps)
-t is always copied to that child too; symmetric for S-splits; inside a
-leaf, row x column intersect in one cell. This is the paper's
+at a T-split, s goes to exactly one child and (as the boundary's band
+bounds hold the reach of every s on its side) t is always copied to
+that child too; symmetric for S-splits; inside a leaf, row x column
+intersect in one cell. This is the paper's
 no-duplicate-output guarantee and is property-tested in the test suite.
 """
 from __future__ import annotations
@@ -26,7 +27,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..dist.partitioning import Partitioning, lpt_schedule, matrix_cells
-from .geometry import Rect
+from .geometry import Rect, band_bounds
+
+
+def split_bounds(value, e):
+    """``(hi, lo)`` of a split at ``value`` (scalars or arrays) of band
+    width ``e``: a duplicated tuple goes left iff ``x <= hi``, the upper
+    :func:`band_bounds` of the largest float below ``value`` (the left
+    child's farthest-reaching value), and right iff ``x >= lo(value)``."""
+    return band_bounds(np.nextafter(value, -np.inf), e)[1], band_bounds(value, e)[0]
+
+
+def split_masks(x: np.ndarray, value: float, bounds, dup: bool):
+    """``(left, right)`` masks of ``x`` at a split at ``value``: by
+    ``bounds`` (:func:`split_bounds`) on the duplicated side, else
+    ``x < value`` goes left and the rest right."""
+    if not dup:
+        left = x < value
+        return left, ~left
+    return x <= bounds[0], x >= bounds[1]
 
 
 class TreeNode:
@@ -38,7 +57,7 @@ class TreeNode:
 
     __slots__ = (
         "rect", "dim", "value", "dup_side", "left", "right",
-        "r", "c", "task_base", "payload",
+        "r", "c", "task_base", "payload", "bounds",
     )
 
     def __init__(self, rect: Rect):
@@ -52,6 +71,7 @@ class TreeNode:
         self.c = 1
         self.task_base = -1
         self.payload = None  # optimizer-owned leaf state
+        self.bounds = None  # an inner node's split_bounds, set by FrozenTree
 
     @property
     def is_leaf(self) -> bool:
@@ -79,11 +99,6 @@ class TreeNode:
             n.dim, n.value, n.dup_side = self.dim, self.value, self.dup_side
             n.left, n.right = self.left.clone(), self.right.clone()
         return n
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + max(self.left.depth(), self.right.depth())
 
 
 class FrozenTree(Partitioning):
@@ -118,8 +133,21 @@ class FrozenTree(Partitioning):
         assert len(task_to_worker) == self.n_tasks, (len(task_to_worker), self.n_tasks)
         self.task_to_worker = task_to_worker
 
+    def _set_bounds(self) -> None:
+        """Pads every split at once, on the first assign: RecPart freezes trees it never routes."""
+        nodes = [self.root]
+        for node in nodes:  # breadth first: the loop visits what it appends
+            if not node.is_leaf:
+                nodes += [node.left, node.right]
+        inner = [n for n in nodes if not n.is_leaf]
+        his, los = split_bounds(*np.array([(n.value, self.eps[n.dim]) for n in inner]).T)
+        for node, hi, lo in zip(inner, his.tolist(), los.tolist()):
+            node.bounds = (hi, lo)
+
     # -- Algorithm 3 (vectorized): route tuples down the tree ------------
     def assign(self, points, side, ids=None):
+        if not self.root.is_leaf and self.root.bounds is None:
+            self._set_bounds()
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
@@ -128,7 +156,6 @@ class FrozenTree(Partitioning):
             ids = np.arange(n, dtype=np.int64)
         out_idx: list[np.ndarray] = []
         out_task: list[np.ndarray] = []
-        dup = side  # relation that gets duplicated at matching split nodes
         stack: list[tuple[TreeNode, np.ndarray]] = [(self.root, np.arange(n, dtype=np.int64))]
         while stack:
             node, idx = stack.pop()
@@ -144,14 +171,9 @@ class FrozenTree(Partitioning):
                     out_idx.append(idx[k])
                     out_task.append(node.task_base + cells)
                 continue
-            x = points[idx, node.dim]
-            if dup == node.dup_side:
-                e = self.eps[node.dim]
-                left = x - e < node.value
-                right = x + e >= node.value
-            else:
-                left = x < node.value
-                right = ~left
+            left, right = split_masks(
+                points[idx, node.dim], node.value, node.bounds, side == node.dup_side
+            )
             stack.append((node.left, idx[left]))
             stack.append((node.right, idx[right]))
         if not out_idx:

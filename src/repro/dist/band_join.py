@@ -36,7 +36,7 @@ import pyspark
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.geometry import band_widths
+from ..core.geometry import band_widths, check_relation
 from . import _daemon
 from .local_join import band_join_tasks
 from .partitioning import Partitioning
@@ -96,11 +96,14 @@ def _fanout(
     df: DataFrame, part: Partitioning, side: str, dims: list[str], task_key: np.ndarray
 ) -> DataFrame:
     """Map each row to its tasks (one output row per assignment), tagged
-    with the partition key ``task_key[task]`` of the task's worker."""
+    with the partition key ``task_key[task]`` of the task's worker. A
+    row no partitioning can route (NaN or inf) fails the query."""
 
     def gen(batches):
         for pdf in batches:
             pts = pdf[dims].to_numpy(dtype=float)
+            if len(pts):
+                check_relation(pts, side)
             ids = pdf["id"].to_numpy(dtype=np.int64)
             idx, task = part.assign(pts, side, ids=ids)
             out = pdf.iloc[idx][["id", *dims]].copy()
@@ -191,7 +194,7 @@ def distributed_band_join(
     that received rows: (worker, input_s, input_t, output, seconds),
     ``seconds`` being the worker's local-join time. Raises
     ``ValueError`` unless ``eps`` holds one band width >= 0 per entry of
-    ``dims``.
+    ``dims``; a NaN or infinite coordinate fails the query (:func:`check_relation`).
     """
     eps = band_widths(eps, len(dims))
     _install_site_daemon(spark)

@@ -9,8 +9,8 @@ once* using integer **rank-space keys**:
 * ``V`` = globally sorted T values on dim 0. Each T row gets the exact
   integer key ``task * M + rank(A_1 in V)`` (``M = len(V) + 1``); rows
   of one task occupy one contiguous integer block, ordered by ``A_1``.
-* Each S row's window ``[A_1 - eps_1, A_1 + eps_1]``, padded by four
-  ulps on each side (:func:`_band_bounds`), maps to the rank interval
+* Each S row's window ``[A_1 - eps_1, A_1 + eps_1]``, as the
+  :func:`~repro.core.geometry.band_bounds` of ``A_1``, maps to the rank interval
   ``[rank_left, rank_right)`` via two ``searchsorted`` calls on ``V``;
   two more ``searchsorted`` calls on the key array give every S row's
   candidate range at once.
@@ -24,9 +24,9 @@ S row order, so the windows are those of the plain searches.
 
 Integer keys keep dim-0 candidate selection free of float normalization
 and of blow-up on heavy-tailed domains whose span dwarfs the band width.
-The pad makes the window a superset of what the exact filter accepts:
+The bounds make the window a superset of what the exact filter accepts:
 ``fl(|s - t|) <= eps`` holds for some ``t`` just beyond ``fl(s -+ eps)``,
-and an unpadded window dropped those pairs.
+and a window of ``fl(s -+ eps)`` dropped those pairs.
 
 The dim-0 window alone can admit hundreds of candidates per result when
 the other dimensions do the selecting (heavy-tailed data in d >= 3).
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.geometry import band_bounds
 from .partitioning import expand_ranges
 
 #: the grid path runs when the dim-0 windows hold more than this many
@@ -123,7 +124,7 @@ def band_join_tasks(
     key_t = task_t[order_t].astype(np.int64) * M + rank_t
 
     s0 = pts_s[:, 0].astype(float)
-    low, high = _band_bounds(s0, eps[0])
+    low, high = band_bounds(s0, eps[0])
     by_s = np.argsort(s0)
     rlo = _search_in_order(V, low, by_s, "left")
     rhi = _search_in_order(V, high, by_s, "right")
@@ -213,22 +214,6 @@ def _key_windows(key_t, base, rlo, rhi):
     )
 
 
-def _band_bounds(a: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fl(a -+ e)`` moved out by four ulps of ``max(|a|, e)``: bounds
-    that hold every ``t`` the exact filter ``fl(|a - t|) <= e`` accepts.
-
-    That filter lets the real ``|a - t|`` exceed ``e`` by up to half an
-    ulp of ``e``, so ``t`` can lie below ``fl(a - e)`` (``a = 0.7, t =
-    -1e-17, e = 0.7`` joins, yet ``fl(a - e) = 0``). Four ulps are more
-    than that slack plus the roundings of ``a -+ e`` and of the move
-    itself. Every float from 2^1023 up has the ulp of 2^1023, so capping
-    there changes no finite pad and gives an infinite ``a`` or ``e`` an
-    infinite bound rather than a NaN one.
-    """
-    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(a), e), 2.0**1023))
-    return (a - e) - pad, (a + e) + pad
-
-
 def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     """Candidate windows of the ε-grid path.
 
@@ -242,7 +227,7 @@ def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     ``[rlo, rhi)`` within that block.
 
     No T row that passes the exact filter is missed: the cell range of
-    each S row spans its :func:`_band_bounds`, and ``t >= low`` gives
+    each S row spans its :func:`band_bounds`, and ``t >= low`` gives
     ``floor(t / eps) >= floor(low / eps)``, as rounded division and floor
     are monotone.
 
@@ -256,7 +241,7 @@ def _grid_windows(task_s, pts_s, task_t, pts_t, eps, grid, rlo, rhi, rank_t, M):
     for g in grid:
         cells, cell_t = np.unique(np.floor(pts_t[:, g] / eps[g]), return_inverse=True)
         level, block_t = np.unique(block_t * len(cells) + cell_t, return_inverse=True)
-        low, high = _band_bounds(pts_s[owner, g].astype(float), eps[g])
+        low, high = band_bounds(pts_s[owner, g].astype(float), eps[g])
         first = np.searchsorted(cells, np.floor(low / eps[g]), side="left")
         last = np.searchsorted(cells, np.floor(high / eps[g]), side="right")
         k, cell_s = expand_ranges(first, last)

@@ -16,10 +16,6 @@ class TestPredict:
         # output tuple)
         assert cm.b2 / cm.b3 == pytest.approx(4.0)
 
-    def test_load(self):
-        cm = CostModel()
-        assert cm.load(10, 8) == 4 * 10 + 8
-
     @pytest.mark.parametrize("coef", ["b1", "b2", "b3"])
     @pytest.mark.parametrize("value", [-1.0, np.nan])
     def test_negative_coefficient_rejected(self, coef, value):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.geometry import Rect
+from repro.core.geometry import Rect, band_bounds
 
 
 @pytest.fixture
@@ -45,29 +45,76 @@ class TestContains:
         assert unit3.contains(np.array([[0.5, 0.2, 0.9]])).all()
 
 
-class TestEpsIntersection:
-    def test_point_inside_always_intersects(self, unit3):
-        p = np.array([[0.5, 0.5, 0.5]])
-        assert unit3.intersects_eps_range(p, np.zeros(3)).all()
+def _accepts(s, t, e):
+    """The local join's exact filter."""
+    return np.abs(np.asarray(s) - np.asarray(t)) <= e
 
-    def test_point_within_eps_outside(self, unit3):
-        p = np.array([[1.05, 0.5, 0.5]])
-        assert unit3.intersects_eps_range(p, np.full(3, 0.1)).all()
-        assert not unit3.intersects_eps_range(p, np.full(3, 0.01)).any()
 
-    def test_closed_at_lo(self, unit3):
-        # eps-range [p-e, p+e] touching lo exactly intersects [lo, hi)
-        p = np.array([[-0.1, 0.5, 0.5]])
-        assert unit3.intersects_eps_range(p, np.array([0.1, 0.0, 0.0])).all()
+def _neighbours(x, k=8):
+    """``x`` and its k float neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.array(out)
 
-    def test_open_at_hi(self, unit3):
-        # p - eps == hi does not intersect the half-open box
-        p = np.array([[1.1, 0.5, 0.5]])
-        assert not unit3.intersects_eps_range(p, np.array([0.1, 0.0, 0.0])).any()
 
-    def test_all_dims_must_intersect(self, unit3):
-        p = np.array([[0.5, 0.5, 2.0]])
-        assert not unit3.intersects_eps_range(p, np.full(3, 0.1)).any()
+class TestBandBounds:
+    def test_holds_a_pair_beyond_the_unpadded_bound(self):
+        # fl(0.7 - 0.7) = 0, yet t = -1e-17 joins a = 0.7 at e = 0.7
+        assert _accepts(0.7, -1e-17, 0.7)
+        lo, hi = band_bounds(0.7, 0.7)
+        assert lo <= -1e-17 and hi >= 1.4
+
+    @pytest.mark.parametrize("a, e", [
+        (0.7, 0.7), (0.006369616873214543, 0.7), (-1.9037257264406253, 2.5),
+        (1e6, 1e-3), (-3.0, 0.0), (123.45, 0.1), (1e-300, 1.0), (5.0, 1.0),
+    ])
+    def test_holds_every_accepted_neighbour(self, a, e):
+        lo, hi = band_bounds(a, e)
+        for t in np.concatenate([_neighbours(a - e), _neighbours(a + e)]):
+            if _accepts(a, t, e):
+                assert lo <= t <= hi, t
+
+    def test_exact_where_the_filter_slack_is_under_one_float(self):
+        # |a| >= e keeps the ulps of a -+ e at least those of e: the
+        # bounds are then the least and greatest t the filter accepts
+        rng = np.random.default_rng(0)
+        a = np.round(rng.uniform(1, 100, 300), 2)
+        e = np.round(rng.uniform(0, 1, 300), 1)
+        lo, hi = band_bounds(a, e)
+        for k in range(len(a)):
+            ok = [t for t in np.concatenate([_neighbours(a[k] - e[k]), _neighbours(a[k] + e[k])])
+                  if _accepts(a[k], t, e[k])]
+            assert (lo[k], hi[k]) == (min(ok), max(ok)), (a[k], e[k])
+
+    def test_integer_band_is_exact(self):
+        assert band_bounds(4.0, 1.0) == (3.0, 5.0)
+        assert band_bounds(1.0, 0.0) == (1.0, 1.0)
+
+    def test_boundary_bounds_every_value_below_it(self):
+        # the split-tree case: s < v, and t joins s, so t joins the
+        # largest float below v and is at most its upper bound
+        s, t, e = 0.006369616873214543, 0.7063696168732145, 0.7
+        v = 0.006369616873214561
+        assert s < v and _accepts(s, t, e)
+        assert t <= band_bounds(np.nextafter(v, -np.inf), e)[1]
+        # and the mirror: t < v <= s' joins only t >= lo(v)
+        assert band_bounds(t, e)[0] <= s
+
+    def test_broadcasts_per_dimension(self):
+        pts = np.array([[0.0, 10.0], [1.0, -10.0]])
+        lo, hi = band_bounds(pts, np.array([0.5, 2.0]))
+        assert lo.shape == hi.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            assert (lo[i, j], hi[i, j]) == band_bounds(pts[i, j], [0.5, 2.0][j])
+        # t = 0.5 - 2^-54 joins a = 1 at e = 0.5 (fl(1 - t) = 0.5)
+        assert lo[1, 0] < np.nextafter(0.5, 0) < 0.5 == pts[1, 0] - 0.5
+
+    def test_infinite_band_width_gives_infinite_bounds(self):
+        lo, hi = band_bounds(np.array([-1.0, 1.0]), np.inf)
+        assert lo.tolist() == [-np.inf, -np.inf] and hi.tolist() == [np.inf, np.inf]
 
 
 class TestSplit:
@@ -108,4 +155,3 @@ class TestSmall:
     def test_sides(self):
         r = Rect(np.array([1.0, 2.0]), np.array([4.0, 10.0]))
         assert r.sides.tolist() == [3.0, 8.0]
-        assert r.d == 2

@@ -14,6 +14,7 @@ from repro.baselines.grid_eps import (
     grid_origin,
     grid_star,
 )
+from repro.core.geometry import band_bounds
 from repro.dist.metrics import evaluate_partitioning
 from repro.synth_data import pareto_points, rv_pareto_points
 
@@ -47,19 +48,17 @@ class TestExpandCells:
 
 
 def _brute_force_cells(points, eps, cell, origin):
-    """Every (row, cell...) with cell k in dim i spanning the half-open
-    ``[origin + k*cell, origin + (k+1)*cell)`` and meeting the closed
-    ``[t - eps, t + eps]``, by testing each candidate cell."""
+    """Every (row, cell...) with cell k in dim i, of index
+    ``floor((x - origin) / cell)``, between the cells of the lower and
+    upper ``band_bounds(t, eps)``, enumerated one tuple and dimension at
+    a time in Python scalars."""
     out = []
     for r, t in enumerate(points):
         per_dim = []
         for i in range(len(t)):
-            k0 = math.floor((t[i] - origin[i]) / cell[i])
-            per_dim.append([
-                k for k in range(k0 - 4, k0 + 5)
-                if origin[i] + k * cell[i] <= t[i] + eps[i]
-                and origin[i] + (k + 1) * cell[i] > t[i] - eps[i]
-            ])
+            lo, hi = band_bounds(t[i], eps[i])
+            first = math.floor((lo - origin[i]) / cell[i])
+            per_dim.append(range(first, math.floor((hi - origin[i]) / cell[i]) + 1))
         out += [(r, *c) for c in itertools.product(*per_dim)]
     return sorted(out)
 
@@ -99,7 +98,7 @@ class TestExpandCellsOrder:
         idx, cells = expand_t_cells(pts, eps, cell, origin)
         again = expand_t_cells(pts.copy(), eps, cell, origin)
         assert np.array_equal(idx, again[0]) and np.array_equal(cells, again[1])
-        lowest = np.floor((pts - eps - origin) / cell).astype(np.int64)
+        lowest = np.floor((band_bounds(pts, eps)[0] - origin) / cell).astype(np.int64)
         off = cells - lowest[idx]
         # offset blocks in lexicographic order, each sorted by (lowest cell, row)
         key = np.column_stack([off, lowest[idx], idx])
@@ -110,8 +109,8 @@ class TestExpandCellsOrder:
 
     def test_one_origin_for_the_grid_and_the_copy_count(self):
         # (4.38 - 0.7) - 0.7 and 4.38 - 2 * 0.7 round one ulp apart, and
-        # T's 4.38 touches one more cell from the second: the analytic
-        # switch must count copies from the origin the grid uses
+        # T touches one cell fewer from the second: the analytic switch
+        # must count copies from the origin the grid uses
         S = np.array([[4.38], [5.0]])
         T = np.array([[4.38], [4.9]])
         eps = np.array([0.7])
@@ -120,7 +119,7 @@ class TestExpandCellsOrder:
         assert np.array_equal(part.origin, grid_origin(both, eps, eps))
         ti, _ = part.assign(T, "T")
         assert expansion_count(T, eps, eps, part.origin) == len(ti)
-        assert expansion_count(T, eps, eps, both.min(axis=0) - 2 * eps) == len(ti) + 1
+        assert expansion_count(T, eps, eps, both.min(axis=0) - 2 * eps) == len(ti) - 1
 
 
 class TestGridPartitioning:

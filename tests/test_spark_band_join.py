@@ -125,6 +125,17 @@ def test_eps_zero_equi_join(spark, data):
     )
 
 
+def test_nan_row_in_t_fails_the_query(spark, data):
+    """A NaN coordinate lies in no region: the split tree would ship the
+    row to no task. The map stage rejects it, naming the relation."""
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    bad = T.copy()
+    bad[7, 1] = np.nan
+    part = recpart(S, T, EPS, 4, seed=0).partitioning
+    with pytest.raises(Exception, match="relation T has a NaN or infinite coordinate"):
+        distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
+
+
 @pytest.mark.parametrize("eps", [[-40.0, 40.0], [40.0, np.nan], [40.0], 40.0])
 def test_bad_eps_raises(spark, data, eps):
     S, T, s_pdf, t_pdf, S_df, T_df = data

@@ -39,12 +39,6 @@ class TestStructure:
         assert c.left.payload is None
         assert c.value == 5.0 and c.dup_side == "T"
 
-    def test_depth(self):
-        root = _tree_1d()
-        assert root.depth() == 2
-        root.left.to_inner(0, 2.0, "S")
-        assert root.depth() == 3
-
 
 class TestRoutingTSplit:
     """T-split: S routed strictly, T duplicated within eps of boundary."""
