@@ -38,13 +38,29 @@ def band_bounds(a, e) -> tuple[np.ndarray, np.ndarray]:
     ``max(|a|, e)``, capped at the ulp of 2^1023 so that an infinite
     ``e`` gives infinite bounds. Rounding is monotone, so the bounds of
     a boundary hold the reach of every value on its side."""
-    lo, hi = a - e, a + e
-    lo = np.where(np.abs(a - lo) <= e, lo, np.nextafter(lo, np.inf))
-    hi = np.where(np.abs(hi - a) <= e, hi, np.nextafter(hi, -np.inf))
-    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(a), e), 2.0**1023))
-    lo = np.where(np.abs(a - np.nextafter(lo, -np.inf)) <= e, (a - e) - pad, lo)
-    hi = np.where(np.abs(np.nextafter(hi, np.inf) - a) <= e, (a + e) + pad, hi)
+    lo, hi = np.asarray(a - e), np.asarray(a + e)
+    _snap(lo, a, e, -1)
+    _snap(hi, a, e, 1)
     return lo, hi
+
+
+def _snap(b, a, e, s: int) -> None:
+    """Move ``b = fl(a + s*e)`` (``s`` = -1 for the lower bound, +1 for
+    the upper) onto :func:`band_bounds`' value, in place, computing each
+    correction only on the elements that need it. The float beyond a
+    bound can join only where ``|b| / 4 < max(e, 2^-1020)``: elsewhere the
+    floats around ``b`` are at least twice as far apart as those above
+    ``e``, so the float beyond lies past the filter's half-ulp slack."""
+    np.nextafter(b, -s * np.inf, out=b, where=~(np.abs(b - a) <= e))
+    near = ~(0.25 * np.abs(b) >= np.maximum(e, 2.0**-1020))
+    if not near.any():
+        return
+    i = np.flatnonzero(near)
+    ai, ei = (np.broadcast_to(x, b.shape).flat[i] for x in (a, e))
+    bi = b.flat[i]
+    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(ai), ei), 2.0**1023))
+    beyond_joins = np.abs(np.nextafter(bi, s * np.inf) - ai) <= ei
+    b.flat[i] = np.where(beyond_joins, (ai + s * ei) + s * pad, bi)
 
 
 def check_relation(pts, name: str) -> np.ndarray:

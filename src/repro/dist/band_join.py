@@ -20,7 +20,11 @@ DataFrame program:
 Everything is DataFrame/Catalyst; the only Python-side compute is the
 partitioning UDF and the local join, mirroring how the paper's operator
 sits below the dataflow engine. Inputs must carry a unique ``id``
-column plus the join-attribute columns.
+column plus the join-attribute columns, and should be frames whose plan
+does not embed their rows, as :func:`repro.synth_data.to_spark`'s local
+checkpoints are: a ``createDataFrame`` frame's rows travel inside every
+map task that scans them (7 MB per task for the 254k-row ebird
+stand-in) and are canonicalized by every plan and adaptive re-plan.
 
 Spark's Python workers run under :mod:`._daemon` where the driver's
 pyspark can serve them (see :func:`_install_site_daemon`).
@@ -130,7 +134,9 @@ def band_join_frame(
 ) -> DataFrame:
     """The lazy pipeline behind :func:`distributed_band_join`: (s_id, t_id)
     rows if ``produce_pairs``, else one row per worker (worker, input_s,
-    input_t, output, seconds), the last being its local-join time."""
+    input_t, output, seconds), the last being its local-join time. Its
+    one Exchange is the repartition; the inputs are scanned as they are,
+    so their plans should not embed their rows (see the module docstring)."""
     keys = partition_keys(part.w)
     worker_of = {int(k): i for i, k in enumerate(keys)}
     task_key = keys[part.task_to_worker]
@@ -195,6 +201,11 @@ def distributed_band_join(
     ``seconds`` being the worker's local-join time. Raises
     ``ValueError`` unless ``eps`` holds one band width >= 0 per entry of
     ``dims``; a NaN or infinite coordinate fails the query (:func:`check_relation`).
+    ``S_df`` and ``T_df`` should be frames whose plan does not embed
+    their rows, such as :func:`repro.synth_data.to_spark`'s local
+    checkpoints. A local checkpoint lives in its executor's block manager
+    and is lost with that executor; in local mode the executor is the
+    driver's own JVM.
     """
     eps = band_widths(eps, len(dims))
     _install_site_daemon(spark)

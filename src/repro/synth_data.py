@@ -66,7 +66,8 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
 #
 # The paper's inputs are 200-800 million tuples; we reproduce at 1/2000
 # scale (see DESIGN.md Section 3). Generators return float numpy arrays of
-# shape (n, d); `to_spark` wraps them as DataFrames with a unique `id`.
+# shape (n, d); `to_spark` wraps them as DataFrames with a unique `id`,
+# checkpointed so that no query plan carries the rows.
 # --------------------------------------------------------------------------
 
 #: value scale of the Pareto generators. Draws from [1, inf) are multiplied
@@ -200,11 +201,24 @@ def ptf_like(n: int, *, seed: int = 12, obs_per_object: float = 8.0) -> np.ndarr
 def to_spark(
     spark: SparkSession, pts: np.ndarray, *, id_offset: int = 0, prefix: str = "a"
 ) -> DataFrame:
-    """Wrap a (n, d) point array as a DataFrame with columns
-    ``id, a1..ad`` (the layout `dist.band_join` expects)."""
+    """Wrap a (n, d) point array, or an (n,) one as d = 1, as a DataFrame
+    with columns ``id, a1..ad`` (the layout `dist.band_join` expects),
+    ids counting up from ``id_offset``. A NaN coordinate is kept (Arrow
+    makes it a null, which pandas reads back as NaN): rejecting it is the
+    band-join map stage's job.
+
+    The frame is a local checkpoint: the rows are materialized once, by
+    an eager job, in the executors' block managers, and the plan is a
+    scan over those blocks. A frame made by ``createDataFrame`` alone
+    keeps every row in its plan: each task that scans it is sent its
+    partition's rows (7 MB per task for the 254k-row ebird stand-in),
+    and every plan and adaptive re-plan of a query over it canonicalizes
+    them. A checkpoint lives in its executor's block manager and is lost
+    with that executor; in local mode the executor is the driver's own
+    JVM, and multi-machine runs are out of scope."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     pdf = pd.DataFrame(pts, columns=[f"{prefix}{i+1}" for i in range(pts.shape[1])])
     pdf.insert(0, "id", np.arange(id_offset, id_offset + len(pts), dtype=np.int64))
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf).localCheckpoint()

@@ -1,6 +1,8 @@
 """Unit tests for the hyper-rectangle primitives."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.geometry import Rect, band_bounds
 
@@ -115,6 +117,68 @@ class TestBandBounds:
     def test_infinite_band_width_gives_infinite_bounds(self):
         lo, hi = band_bounds(np.array([-1.0, 1.0]), np.inf)
         assert lo.tolist() == [-np.inf, -np.inf] and hi.tolist() == [np.inf, np.inf]
+
+
+def _all_branch_band_bounds(a, e):
+    """``band_bounds`` as first written, every correction evaluated on
+    every element: the reference the per-element corrections must match
+    bit for bit."""
+    lo, hi = a - e, a + e
+    lo = np.where(np.abs(a - lo) <= e, lo, np.nextafter(lo, np.inf))
+    hi = np.where(np.abs(hi - a) <= e, hi, np.nextafter(hi, -np.inf))
+    pad = 4 * np.spacing(np.minimum(np.maximum(np.abs(a), e), 2.0**1023))
+    lo = np.where(np.abs(a - np.nextafter(lo, -np.inf)) <= e, (a - e) - pad, lo)
+    hi = np.where(np.abs(np.nextafter(hi, np.inf) - a) <= e, (a + e) + pad, hi)
+    return lo, hi
+
+
+_WIDTHS = st.one_of(
+    st.floats(0.0, 1e300),
+    st.sampled_from([0.0, np.inf, 0.1, 0.7, 2.5, 1e-3, 5e-324, 2.0**-1022, 2.0**-1020]),
+)
+
+
+@st.composite
+def _values(draw, e: float):
+    """A value for band width ``e``: any float, or one a few ulps from a
+    power-of-two multiple of ``e`` (where ``fl(a -+ e)`` lands near zero
+    or a binade edge), or ``s -+ e`` nudged by ulps as in the
+    ``ulps_around_eps`` case of ``test_definition1``."""
+    kind = draw(st.sampled_from(["any", "multiple", "ulps_around_eps"]))
+    if kind == "any" or not 0 < e < 1e290:
+        return draw(st.floats(-1e300, 1e300))
+    if kind == "multiple":
+        x = e * draw(st.sampled_from([1, -1, 1.5, -1.5])) * 2.0 ** draw(st.integers(-3, 3))
+    else:
+        s = draw(st.floats(-3, 3)) * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+        x = s + draw(st.sampled_from([-1, 1])) * e
+    for _ in range(draw(st.integers(0, 3))):
+        x = np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf])))
+    return float(x)
+
+
+@st.composite
+def _band_inputs(draw):
+    e = np.array([draw(_WIDTHS), draw(_WIDTHS)])
+    rows = draw(st.integers(1, 8))
+    a = np.array([[draw(_values(e[j])) for j in range(2)] for _ in range(rows)])
+    return a, e
+
+
+class TestBandBoundsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_band_inputs())
+    def test_bit_identical_to_the_all_branch_formula(self, inputs):
+        a, e = inputs
+        bits = [np.asarray(b).view(np.int64) for b in band_bounds(a, e)]
+        want = [b.view(np.int64) for b in _all_branch_band_bounds(a, e)]
+        assert all(np.array_equal(g, w) for g, w in zip(bits, want))
+        # and elementwise, as the split tree calls it on one value
+        got = band_bounds(float(a[0, 0]), float(e[0]))
+        want = _all_branch_band_bounds(float(a[0, 0]), float(e[0]))
+        assert [np.float64(x).view(np.int64) for x in got] == [
+            np.float64(x).view(np.int64) for x in want
+        ]
 
 
 class TestSplit:

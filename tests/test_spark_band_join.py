@@ -233,7 +233,9 @@ def test_partition_keys_hash_to_their_partition(spark, w):
 
 def test_one_worker_per_spark_partition(spark, data):
     """Each logical worker is its own Spark partition, and grouping by the
-    partition key adds no shuffle after the repartition."""
+    partition key adds no shuffle after the repartition. The inputs are
+    scanned from their checkpoint blocks, not from rows the plan carries
+    into every map task."""
     S, T, s_pdf, t_pdf, S_df, T_df = data
     part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
     frame = band_join_frame(S_df, T_df, part, EPS, DIMS, produce_pairs=False)
@@ -242,6 +244,7 @@ def test_one_worker_per_spark_partition(spark, data):
     assert (got["worker"] == got["p"]).all()
     plan = frame._jdf.queryExecution().executedPlan().toString()
     assert plan.count("Exchange") == 1
+    assert "LocalTableScan" not in plan
 
 
 class TestTpchDateBandJoin:

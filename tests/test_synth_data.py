@@ -11,6 +11,7 @@ from repro.synth_data import (
     pareto_points,
     ptf_like,
     rv_pareto_points,
+    to_spark,
 )
 
 
@@ -111,6 +112,39 @@ class TestPtf:
 
         eps = np.array([2.78e-4, 2.78e-4])
         assert band_join_count(a, b, eps) < 100
+
+
+class TestToSpark:
+    """`to_spark` hands the band-join its inputs: a frame whose plan holds
+    no rows, with every id and coordinate as given."""
+
+    def test_plan_holds_no_rows(self, spark):
+        df = to_spark(spark, pareto_points(100, 1.5, 2, seed=0))
+        assert "LocalRelation" not in df._jdf.queryExecution().analyzed().toString()
+
+    @pytest.mark.parametrize("shape, id_offset", [((300, 3), 0), ((300, 3), 5000), ((300,), 7)])
+    def test_ids_and_coordinates_round_trip_exactly(self, spark, shape, id_offset):
+        rng = np.random.default_rng(1)
+        pts = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        pts.flat[:3] = [0.1, -0.0, 5e-324]
+        want = pts.reshape(len(pts), -1)
+        dims = [f"a{i + 1}" for i in range(want.shape[1])]
+        got = to_spark(spark, pts, id_offset=id_offset).toPandas()
+        assert list(got.columns) == ["id", *dims]
+        got = got.sort_values("id")
+        assert got["id"].tolist() == list(range(id_offset, id_offset + len(pts)))
+        assert np.array_equal(got[dims].to_numpy().view(np.int64), want.view(np.int64))
+
+    def test_nan_row_is_kept(self, spark):
+        """Rejecting a NaN row is the band-join map stage's job
+        (`check_relation` per batch), not the loader's. Arrow hands the
+        NaN to Spark as a null, which reaches pandas as NaN again."""
+        pts = pareto_points(50, 1.5, 2, seed=0)
+        pts[7, 1] = np.nan
+        got = to_spark(spark, pts).toPandas().set_index("id")
+        assert len(got) == 50
+        assert got.index[got["a2"].isna()].tolist() == [7]
+        assert got["a1"].notna().all()
 
 
 class TestTpchLite:
