@@ -144,32 +144,3 @@ def evaluate_partitioning(
         worker_output=worker_output,
     )
 
-
-def collect_all_pairs(
-    part: Partitioning,
-    S_pts: np.ndarray,
-    T_pts: np.ndarray,
-    eps,
-    s_ids: np.ndarray | None = None,
-    t_ids: np.ndarray | None = None,
-) -> np.ndarray:
-    """All (s_id, t_id) output pairs the partitioned execution produces,
-    **with multiplicity** — tests assert these are duplicate-free and
-    equal to the brute-force band-join (Definition 1)."""
-    eps = np.asarray(eps, dtype=float)
-    S_pts = np.asarray(S_pts, dtype=float)
-    T_pts = np.asarray(T_pts, dtype=float)
-    if S_pts.ndim == 1:
-        S_pts = S_pts[:, None]
-    if T_pts.ndim == 1:
-        T_pts = T_pts[:, None]
-    if s_ids is None:
-        s_ids = np.arange(len(S_pts), dtype=np.int64)
-    if t_ids is None:
-        t_ids = np.arange(len(T_pts), dtype=np.int64)
-    si, st = part.assign(S_pts, "S", ids=s_ids)
-    ti, tt = part.assign(T_pts, "T", ids=t_ids)
-    ps, pt, _ = band_join_tasks(
-        st, S_pts[si], tt, T_pts[ti], eps, produce_pairs=True
-    )
-    return np.column_stack([s_ids[si[ps]], t_ids[ti[pt]]])

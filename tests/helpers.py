@@ -1,11 +1,15 @@
-"""Shared test utilities: brute-force band-join ground truth,
-partitioning-correctness assertions (Definition 1) and the degenerate
-1-D inputs of the stripe-coverage tests."""
+"""Shared test utilities: brute-force band-join ground truth, the
+partitioned execution's result pairs, partitioning-correctness
+assertions (Definition 1), a Catalyst band-join count and the
+degenerate 1-D inputs of the stripe-coverage tests."""
 from __future__ import annotations
 
 import numpy as np
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
-from repro.dist.metrics import collect_all_pairs
+from repro.dist.local_join import band_join_tasks
+from repro.dist.partitioning import Partitioning
 from repro.synth_data import pareto_points, rv_pareto_points
 
 
@@ -31,6 +35,48 @@ def brute_force_pairs(S: np.ndarray, T: np.ndarray, eps) -> np.ndarray:
 
 def brute_force_count(S, T, eps) -> int:
     return len(brute_force_pairs(S, T, eps))
+
+
+def collect_all_pairs(
+    part: Partitioning,
+    S_pts: np.ndarray,
+    T_pts: np.ndarray,
+    eps,
+    s_ids: np.ndarray | None = None,
+    t_ids: np.ndarray | None = None,
+) -> np.ndarray:
+    """All (s_id, t_id) output pairs the partitioned execution produces,
+    **with multiplicity** — tests assert these are duplicate-free and
+    equal to the brute-force band-join (Definition 1)."""
+    eps = np.asarray(eps, dtype=float)
+    S_pts = np.asarray(S_pts, dtype=float)
+    T_pts = np.asarray(T_pts, dtype=float)
+    if S_pts.ndim == 1:
+        S_pts = S_pts[:, None]
+    if T_pts.ndim == 1:
+        T_pts = T_pts[:, None]
+    if s_ids is None:
+        s_ids = np.arange(len(S_pts), dtype=np.int64)
+    if t_ids is None:
+        t_ids = np.arange(len(T_pts), dtype=np.int64)
+    si, st = part.assign(S_pts, "S", ids=s_ids)
+    ti, tt = part.assign(T_pts, "T", ids=t_ids)
+    ps, pt, _ = band_join_tasks(
+        st, S_pts[si], tt, T_pts[ti], eps, produce_pairs=True
+    )
+    return np.column_stack([s_ids[si[ps]], t_ids[ti[pt]]])
+
+
+def catalyst_band_join_count(
+    spark: SparkSession, S_df: DataFrame, T_df: DataFrame, eps, dims: list[str]
+) -> int:
+    """Reference plan: plain Catalyst band-join (range predicates), used
+    as a result-cardinality oracle on Spark itself."""
+    cond = None
+    for c, e in zip(dims, np.asarray(eps, dtype=float)):
+        this = F.abs(S_df[c] - T_df[c]) <= float(e)
+        cond = this if cond is None else cond & this
+    return S_df.alias("s").join(T_df.alias("t"), cond).count()
 
 
 def assert_partitioning_correct(part, S, T, eps) -> None:

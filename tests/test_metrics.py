@@ -8,10 +8,14 @@ from repro.baselines.grid_eps import GridPartitioning
 from repro.baselines.iejoin import IEJoinPartitioning
 from repro.baselines.one_bucket import OneBucketPartitioning
 from repro.core.recpart import recpart
-from repro.dist.metrics import collect_all_pairs, evaluate_partitioning
+from repro.dist.metrics import evaluate_partitioning
 from repro.synth_data import pareto_points
 
-from tests.helpers import assert_partitioning_correct, brute_force_count
+from tests.helpers import (
+    assert_partitioning_correct,
+    brute_force_count,
+    collect_all_pairs,
+)
 
 DATASETS = {
     "pareto1d": (1, 20.0),

@@ -1,5 +1,6 @@
 """Spark integration tests: the distributed band-join operator under
 every partitioning, verified row-by-row against the DuckDB oracle."""
+import gc
 import sys
 import zipfile
 import zipimport
@@ -17,15 +18,17 @@ from repro.core.recpart import recpart
 from repro.dist import _daemon
 from repro.dist.band_join import (
     DAEMON_KEY,
+    MAX_BYTES_KEY,
     _install_site_daemon,
     band_join_frame,
-    catalyst_band_join_count,
     distributed_band_join,
     partition_keys,
 )
 from repro.dist.metrics import evaluate_partitioning
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem, orders, pareto_points, to_spark
+
+from tests.helpers import catalyst_band_join_count
 
 N = 1200
 D = 2
@@ -102,6 +105,17 @@ def test_spark_stats_match_simulator(spark, data):
     ]
 
 
+def test_stats_skip_workers_without_tuples(spark, data):
+    """At w = 5, 1-Bucket's 2 x 2 cover occupies four tasks; the fifth
+    worker receives no tuple and reports no row."""
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 5, seed=0)
+    assert part.n_tasks == 4
+    _, stats, _ = distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    assert sorted(stats["worker"]) == [0, 1, 2, 3]
+    assert (stats["input_s"] + stats["input_t"] > 0).all()
+
+
 def test_catalyst_reference_count(spark, data):
     S, T, s_pdf, t_pdf, S_df, T_df = data
     part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
@@ -144,6 +158,29 @@ def test_bad_eps_raises(spark, data, eps):
         distributed_band_join(spark, S_df, T_df, part, eps, DIMS)
 
 
+@pytest.mark.parametrize("caller_value", [None, "1m"])
+def test_arrow_byte_cap_restored(spark, data, caller_value):
+    """The query lifts the Arrow byte cap for itself alone: the session's
+    setting, or its absence, is back after a query and after one that
+    fails."""
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    bad = T.copy()
+    bad[7, 1] = np.nan
+    part = recpart(S, T, EPS, 4, seed=0).partitioning
+    if caller_value is None:
+        spark.conf.unset(MAX_BYTES_KEY)
+    else:
+        spark.conf.set(MAX_BYTES_KEY, caller_value)
+    try:
+        distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+        assert spark.conf.get(MAX_BYTES_KEY, None) == caller_value
+        with pytest.raises(Exception, match="NaN or infinite"):
+            distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
+        assert spark.conf.get(MAX_BYTES_KEY, None) == caller_value
+    finally:
+        spark.conf.unset(MAX_BYTES_KEY)
+
+
 def test_workers_import_pyspark_outside_zips(spark, data):
     """After a join, Spark's Python workers load pyspark from
     site-packages and hold no zip importer, whose re-reading on every
@@ -169,6 +206,22 @@ def test_workers_import_pyspark_outside_zips(spark, data):
     )
     assert not got["file"].str.contains(".zip", regex=False).any()
     assert (got["zips"] == 0).all()
+
+
+def test_worker_heap_frozen_by_daemon(spark, data):
+    """After a join, Spark's Python workers inherit the daemon's frozen
+    heap, so pyspark's post-task ``gc.collect()`` skips the imported
+    modules."""
+
+    def frozen(batches):
+        for _ in batches:
+            yield pd.DataFrame({"frozen": [gc.get_freeze_count()]})
+
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    got = spark.range(4, numPartitions=2).mapInPandas(frozen, "frozen long").toPandas()
+    assert (got["frozen"] > 0).all()
 
 
 def _without_daemon_key(spark):
@@ -232,10 +285,10 @@ def test_partition_keys_hash_to_their_partition(spark, w):
 
 
 def test_one_worker_per_spark_partition(spark, data):
-    """Each logical worker is its own Spark partition, and grouping by the
-    partition key adds no shuffle after the repartition. The inputs are
-    scanned from their checkpoint blocks, not from rows the plan carries
-    into every map task."""
+    """Each logical worker is its own Spark partition, and the reduce
+    reads its partition as it arrives: no shuffle and no sort after the
+    repartition. The inputs are scanned from their checkpoint blocks, not
+    from rows the plan carries into every map task."""
     S, T, s_pdf, t_pdf, S_df, T_df = data
     part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
     frame = band_join_frame(S_df, T_df, part, EPS, DIMS, produce_pairs=False)
@@ -244,6 +297,7 @@ def test_one_worker_per_spark_partition(spark, data):
     assert (got["worker"] == got["p"]).all()
     plan = frame._jdf.queryExecution().executedPlan().toString()
     assert plan.count("Exchange") == 1
+    assert "Sort" not in plan
     assert "LocalTableScan" not in plan
 
 
