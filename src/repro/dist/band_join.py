@@ -30,9 +30,9 @@ map task that scans them (7 MB per task for the 254k-row ebird
 stand-in) and are canonicalized by every plan and adaptive re-plan.
 
 The join's time should be set by the shuffled input and the busiest
-worker's load; what Spark adds per row or per task is overhead, and
-three choices remove most of it (``ebird-spark`` benchmark, ebird×cloud
-RecPart in pairs mode on ``local[2]``, 4-core VM):
+worker's load; what Spark adds per row, per batch, per task or per job
+is overhead, and these choices remove most of it (``ebird-spark``
+benchmark, ebird×cloud RecPart in pairs mode on ``local[2]``, 4-core VM):
 
 * **Arrow UDFs on both sides.** Batches are read column by column into
   numpy and written back the same way, with no pandas frame and no
@@ -45,32 +45,42 @@ RecPart in pairs mode on ``local[2]``, 4-core VM):
   unless ``spark.sql.execution.arrow.maxBytesPerBatch`` is 2^31−1. A
   JFR profile of a session that loads the inputs and runs the query
   seven times found it in 106 of the executor threads' 694 samples
-  (15%), and ``writeSizedBatch`` in 239.
-  :func:`distributed_band_join` runs its query at that value and
-  restores the session's own afterwards. Batches stay bounded by
-  ``maxRecordsPerBatch`` rows of d+3 fixed-width columns (about 0.6 MB
-  at 10k rows and d = 3, against the 64 MiB default cap), so the cap
-  never binds here; only its per-row check goes.
-* **Frozen worker heap.** See :mod:`._daemon`: reused Python workers no
-  longer walk every imported module's objects after each task.
+  (15%), and ``writeSizedBatch`` in 239. The cap itself never binds
+  here: a batch holds at most :data:`BATCH_ROWS` = 2^20 rows of d+3
+  fixed-width columns, at most 8 bytes each, which stays under 2^31
+  bytes for any d < 253.
+* **One Arrow batch per partition.** At :data:`BATCH_ROWS` rows per
+  batch every ebird map partition (≤ 127k rows) and reduce partition
+  (≤ 17.3k rows) is one batch, where Spark's default of 10k rows cut
+  them into up to 13. Each batch costs a round of Arrow framing and a
+  separate ``assign`` call: RecPart's ``FrozenTree.assign`` over S takes
+  0.103 s in 10k-row batches and 0.058 s in two 127k-row calls.
+* **One Spark job.** Adaptive query execution is off for the query. The
+  plan's one Exchange has an explicit partition count, so AQE has
+  nothing to coalesce or re-plan; it would only run the map stage as a
+  job of its own before the result job.
+* **Python workers on a Unix domain socket and a frozen heap.** See
+  :func:`_install_site_daemon` and :mod:`._daemon`: workers talk to the
+  JVM without TCP loopback, and reused workers no longer walk every
+  imported module's objects after each task.
 
-Within a task, Spark's writer thread feeds the Python worker while the
-worker computes, so the slower of the two sets the task's time, and no
-one of these changes pays much alone. In a ``local[2]`` driver script
-(median query seconds of two sessions each) the parent took 1.74–1.81 s,
-Arrow UDFs alone 1.78–1.80 s, any two of the three 1.58–1.73 s and all
-three 1.27–1.38 s. Per query, the executor threads' CPU fell from
-1.55–1.67 to 0.87–1.01 s and the Python workers' from 2.60–2.73 to
-0.89–1.09 s. On the benchmark, ``exec_s`` fell from 1.495 to 1.132 s
-(medians of 10 paired runs, 10 of 10 won).
-
-Spark's Python workers run under :mod:`._daemon` where the driver's
-pyspark can serve them (see :func:`_install_site_daemon`).
+:func:`distributed_band_join` sets the SQL settings of this list,
+:data:`QUERY_CONF`, for its query alone. Within a task, Spark's writer
+thread feeds the Python worker while the worker computes, so the slower
+of the two sets the task's time, and no one change pays much alone.
+Arrow UDFs, the lifted byte check and the frozen heap took ``exec_s``
+from 1.495 to 1.132 s (medians of 10 paired runs, 10 of 10 won). The
+Unix socket, one batch per partition and one job then took it from
+1.305 to 1.105 s (9 of 10 won). On traced runs the reduce stage fell
+from 0.78–0.82 to 0.60–0.66 s and its slowest task from 0.09–0.10 to
+0.05 s; the map stage did not gain (0.32–0.35 s before, 0.36–0.43 s
+after).
 """
 from __future__ import annotations
 
 import os
 import time
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -85,27 +95,57 @@ from .local_join import band_join_tasks
 from .partitioning import Partitioning
 
 DAEMON_KEY = "spark.python.daemon.module"
-MAX_BYTES_KEY = "spark.sql.execution.arrow.maxBytesPerBatch"
+UDS_KEY = "spark.python.unix.domain.socket.enabled"
+UDS_DIR_KEY = "spark.python.unix.domain.socket.dir"
+#: the longest Unix socket path the JDK binds or connects to on Linux:
+#: ``sizeof(sun_path) - 2`` bytes, ``sun_path`` being 108
+UDS_PATH_MAX = 106
 #: the value at which Spark skips its per-row Arrow batch size estimate
 NO_BYTE_CAP = 2**31 - 1
+#: rows per Arrow batch: one batch per map and per reduce partition
+BATCH_ROWS = 2**20
+#: the SQL settings the query runs with (see the module docstring)
+QUERY_CONF = {
+    "spark.sql.execution.arrow.maxBytesPerBatch": str(NO_BYTE_CAP),
+    "spark.sql.execution.arrow.maxRecordsPerBatch": str(BATCH_ROWS),
+    "spark.sql.adaptive.enabled": "false",
+}
 _U32 = 0xFFFFFFFF
 
 
+def _socket_path_fits(sock_dir: str) -> bool:
+    """Whether the JDK can reach the socket ``<sock_dir>/.<uuid4>.sock``
+    that pyspark's daemon binds in ``sock_dir``."""
+    path = os.path.join(sock_dir, f".{uuid.UUID(int=0)}.sock")
+    return len(os.fsencode(path)) <= UDS_PATH_MAX
+
+
 def _install_site_daemon(spark: SparkSession) -> None:
-    """Have the session's next Python workers run under :mod:`._daemon`.
+    """Have the session's next Python workers run under :mod:`._daemon`
+    and talk to the JVM over a Unix domain socket.
 
     Only when no daemon module is set, and the driver's pyspark matches
     the JVM and does not come from a zip: then the workers' site-packages
-    pyspark is this one. The key goes on the live SparkConf, which new
-    tasks read; ``spark.conf.set`` would only reach the SQL conf.
+    pyspark is this one. The socket is used unless the session set
+    :data:`UDS_KEY` itself or the socket's path, in :data:`UDS_DIR_KEY`
+    or else the JVM's ``java.io.tmpdir``, would be longer than
+    :data:`UDS_PATH_MAX`. The keys go on the live SparkConf, from which
+    Spark builds the worker factory of a new daemon module;
+    ``spark.conf.set`` would only reach the SQL conf.
     """
     conf = spark.sparkContext._conf
     if (
-        conf.get(DAEMON_KEY) is None
-        and pyspark.__version__ == spark.version
-        and os.path.isfile(pyspark.__file__)
+        conf.get(DAEMON_KEY) is not None
+        or pyspark.__version__ != spark.version
+        or not os.path.isfile(pyspark.__file__)
     ):
-        conf.set(DAEMON_KEY, _daemon.__name__)
+        return
+    conf.set(DAEMON_KEY, _daemon.__name__)
+    if conf.get(UDS_KEY) is None and _socket_path_fits(
+        conf.get(UDS_DIR_KEY)
+        or spark.sparkContext._jvm.java.lang.System.getProperty("java.io.tmpdir")
+    ):
+        conf.set(UDS_KEY, "true")
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
@@ -260,21 +300,23 @@ def distributed_band_join(
     and is lost with that executor; in local mode the executor is the
     driver's own JVM.
 
-    The query runs with :data:`MAX_BYTES_KEY` at :data:`NO_BYTE_CAP`
-    (see the module docstring); the session's own setting, or its
-    absence, is restored afterwards, also when the query fails.
+    The query runs with :data:`QUERY_CONF` (see the module docstring);
+    the session's own settings, or their absence, are restored
+    afterwards, also when the query fails.
     """
     eps = band_widths(eps, len(dims))
     _install_site_daemon(spark)
-    before = spark.conf.get(MAX_BYTES_KEY, None)
-    spark.conf.set(MAX_BYTES_KEY, str(NO_BYTE_CAP))
+    before = {k: spark.conf.get(k, None) for k in QUERY_CONF}
+    for k, v in QUERY_CONF.items():
+        spark.conf.set(k, v)
     try:
         t0 = time.perf_counter()
         out = band_join_frame(S_df, T_df, part, eps, dims, produce_pairs).toPandas()
         wall = time.perf_counter() - t0
     finally:
-        if before is None:
-            spark.conf.unset(MAX_BYTES_KEY)
-        else:
-            spark.conf.set(MAX_BYTES_KEY, before)
+        for k, v in before.items():
+            if v is None:
+                spark.conf.unset(k)
+            else:
+                spark.conf.set(k, v)
     return (out, None, wall) if produce_pairs else (None, out, wall)

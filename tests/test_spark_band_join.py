@@ -1,6 +1,8 @@
 """Spark integration tests: the distributed band-join operator under
 every partitioning, verified row-by-row against the DuckDB oracle."""
 import gc
+import os
+import socket
 import sys
 import zipfile
 import zipimport
@@ -9,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyspark
 import pytest
+from py4j.protocol import Py4JJavaError
 from pyspark.sql import functions as F
 
 from repro.baselines.grid_eps import GridPartitioning
@@ -18,8 +21,12 @@ from repro.core.recpart import recpart
 from repro.dist import _daemon
 from repro.dist.band_join import (
     DAEMON_KEY,
-    MAX_BYTES_KEY,
+    QUERY_CONF,
+    UDS_DIR_KEY,
+    UDS_KEY,
+    UDS_PATH_MAX,
     _install_site_daemon,
+    _socket_path_fits,
     band_join_frame,
     distributed_band_join,
     partition_keys,
@@ -147,7 +154,8 @@ def test_nan_row_in_t_fails_the_query(spark, data):
     bad[7, 1] = np.nan
     part = recpart(S, T, EPS, 4, seed=0).partitioning
     with pytest.raises(Exception, match="relation T has a NaN or infinite coordinate"):
-        distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
+        with pytest.warns(UserWarning, match="toPandas attempted Arrow optimization"):
+            distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
 
 
 @pytest.mark.parametrize("eps", [[-40.0, 40.0], [40.0, np.nan], [40.0], 40.0])
@@ -158,27 +166,39 @@ def test_bad_eps_raises(spark, data, eps):
         distributed_band_join(spark, S_df, T_df, part, eps, DIMS)
 
 
-@pytest.mark.parametrize("caller_value", [None, "1m"])
-def test_arrow_byte_cap_restored(spark, data, caller_value):
-    """The query lifts the Arrow byte cap for itself alone: the session's
-    setting, or its absence, is back after a query and after one that
-    fails."""
+#: a value other than the query's own that a session might hold for each
+#: of the query's SQL settings
+CALLER_CONF = {
+    "spark.sql.execution.arrow.maxBytesPerBatch": "1m",
+    "spark.sql.execution.arrow.maxRecordsPerBatch": "1000",
+    "spark.sql.adaptive.enabled": "true",
+}
+
+
+@pytest.mark.parametrize("key", sorted(QUERY_CONF))
+@pytest.mark.parametrize("set_by_caller", [False, True])
+def test_arrow_byte_cap_restored(spark, data, key, set_by_caller):
+    """The query sets each of its SQL settings, the Arrow byte cap among
+    them, for itself alone: the session's value, or its absence, is back
+    after a query and after one that fails."""
+    caller_value = CALLER_CONF[key] if set_by_caller else None
     S, T, s_pdf, t_pdf, S_df, T_df = data
     bad = T.copy()
     bad[7, 1] = np.nan
     part = recpart(S, T, EPS, 4, seed=0).partitioning
     if caller_value is None:
-        spark.conf.unset(MAX_BYTES_KEY)
+        spark.conf.unset(key)
     else:
-        spark.conf.set(MAX_BYTES_KEY, caller_value)
+        spark.conf.set(key, caller_value)
     try:
         distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
-        assert spark.conf.get(MAX_BYTES_KEY, None) == caller_value
+        assert spark.conf.get(key, None) == caller_value
         with pytest.raises(Exception, match="NaN or infinite"):
-            distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
-        assert spark.conf.get(MAX_BYTES_KEY, None) == caller_value
+            with pytest.warns(UserWarning, match="toPandas attempted Arrow optimization"):
+                distributed_band_join(spark, S_df, to_spark(spark, bad), part, EPS, DIMS)
+        assert spark.conf.get(key, None) == caller_value
     finally:
-        spark.conf.unset(MAX_BYTES_KEY)
+        spark.conf.unset(key)
 
 
 def test_workers_import_pyspark_outside_zips(spark, data):
@@ -224,11 +244,75 @@ def test_worker_heap_frozen_by_daemon(spark, data):
     assert (got["frozen"] > 0).all()
 
 
-def _without_daemon_key(spark):
+def test_workers_talk_over_unix_socket(spark, data):
+    """After a join, Spark's Python workers were started by a factory
+    that talks to them over a Unix domain socket, not TCP loopback."""
+
+    def transport(batches):
+        for _ in batches:
+            # Spark writes "True"; pyspark's daemon compares it lower-cased
+            uds = os.environ.get("PYTHON_UNIX_DOMAIN_ENABLED", "").lower() == "true"
+            yield pd.DataFrame({"uds": [uds]})
+
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    got = spark.range(4, numPartitions=2).mapInPandas(transport, "uds boolean").toPandas()
+    assert got["uds"].all()
+
+
+def test_socket_path_guard():
+    """The daemon's socket ``<dir>/.<36-char uuid4>.sock`` may be
+    :data:`UDS_PATH_MAX` bytes long and no longer."""
+    name = len("/.") + 36 + len(".sock")
+    at_limit = "/" + "d" * (UDS_PATH_MAX - name - 1)
+    assert _socket_path_fits(at_limit)
+    assert not _socket_path_fits(at_limit + "d")
+
+
+def test_socket_path_limit_is_the_jdks(spark, tmp_path):
+    """The JDK binds a Unix socket path of :data:`UDS_PATH_MAX` bytes and
+    refuses one byte more; Python, which binds the daemon's socket, takes
+    the longer one too, so the JDK sets the limit."""
+    jvm = spark.sparkContext._jvm
+
+    def path(n):
+        p = str(tmp_path / ("s" * (n - len(str(tmp_path)) - 1)))
+        assert len(p) == n
+        return p
+
+    def jdk_binds(p):
+        ch = jvm.java.nio.channels.ServerSocketChannel.open(
+            jvm.java.net.StandardProtocolFamily.UNIX
+        )
+        try:
+            ch.bind(jvm.java.net.UnixDomainSocketAddress.of(p))
+            return True
+        except Py4JJavaError as e:
+            assert "path too long" in str(e.java_exception)
+            return False
+        finally:
+            ch.close()
+
+    assert jdk_binds(path(UDS_PATH_MAX))
+    assert not jdk_binds(path(UDS_PATH_MAX + 1))
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(path(UDS_PATH_MAX + 1))
+
+
+@pytest.fixture
+def conf(spark):
+    """The live SparkConf without the daemon, transport and socket-dir
+    keys, which are put back as they were afterwards."""
     conf = spark.sparkContext._conf
-    before = conf.get(DAEMON_KEY)
-    conf._jconf.remove(DAEMON_KEY)
-    return conf, before
+    before = {k: conf.get(k) for k in (DAEMON_KEY, UDS_KEY, UDS_DIR_KEY)}
+    for k in before:
+        conf._jconf.remove(k)
+    yield conf
+    for k, v in before.items():
+        conf._jconf.remove(k)
+        if v is not None:
+            conf.set(k, v)
 
 
 @pytest.mark.parametrize(
@@ -236,30 +320,36 @@ def _without_daemon_key(spark):
     [("__version__", "0.0.0"), ("__file__", "/x/lib/pyspark.zip/pyspark/__init__.py")],
 )
 def test_stock_daemon_kept_unless_driver_pyspark_serves_workers(
-    spark, monkeypatch, attr, value
+    spark, conf, monkeypatch, attr, value
 ):
     """A driver pyspark of another version than the JVM, or one read from
-    a zip, says nothing of a site-packages pyspark the workers could use."""
-    conf, before = _without_daemon_key(spark)
+    a zip, says nothing of a site-packages pyspark the workers could use;
+    the stock daemon then keeps its TCP transport."""
     monkeypatch.setattr(pyspark, attr, value)
-    try:
-        _install_site_daemon(spark)
-        assert conf.get(DAEMON_KEY) is None
-    finally:
-        if before is not None:
-            conf.set(DAEMON_KEY, before)
+    _install_site_daemon(spark)
+    assert conf.get(DAEMON_KEY) is None
+    assert conf.get(UDS_KEY) is None
 
 
-def test_explicit_daemon_module_is_kept(spark):
-    conf, before = _without_daemon_key(spark)
+def test_explicit_daemon_module_is_kept(spark, conf):
     conf.set(DAEMON_KEY, "pyspark.daemon")
-    try:
-        _install_site_daemon(spark)
-        assert conf.get(DAEMON_KEY) == "pyspark.daemon"
-    finally:
-        conf._jconf.remove(DAEMON_KEY)
-        if before is not None:
-            conf.set(DAEMON_KEY, before)
+    _install_site_daemon(spark)
+    assert conf.get(DAEMON_KEY) == "pyspark.daemon"
+    assert conf.get(UDS_KEY) is None
+
+
+def test_explicit_unix_socket_setting_is_kept(spark, conf):
+    conf.set(UDS_KEY, "false")
+    _install_site_daemon(spark)
+    assert conf.get(DAEMON_KEY) == _daemon.__name__
+    assert conf.get(UDS_KEY) == "false"
+
+
+def test_tcp_kept_when_socket_dir_is_too_long(spark, conf):
+    conf.set(UDS_DIR_KEY, "/" + "d" * (UDS_PATH_MAX - 43))
+    _install_site_daemon(spark)
+    assert conf.get(DAEMON_KEY) == _daemon.__name__
+    assert conf.get(UDS_KEY) is None
 
 
 def test_daemon_path_kept_when_pyspark_is_only_zipped(tmp_path):
@@ -299,6 +389,22 @@ def test_one_worker_per_spark_partition(spark, data):
     assert plan.count("Exchange") == 1
     assert "Sort" not in plan
     assert "LocalTableScan" not in plan
+
+
+def test_query_is_one_spark_job(spark, data):
+    """The map stage runs inside the result job: with one Exchange of an
+    explicit partition count, adaptive execution has nothing to re-plan
+    and would only add a job for the map stage."""
+    S, T, s_pdf, t_pdf, S_df, T_df = data
+    part = OneBucketPartitioning(len(S), len(T), 4, seed=0)
+    sc = spark.sparkContext
+    group = "test_query_is_one_spark_job"
+    sc.setJobGroup(group, group)
+    try:
+        distributed_band_join(spark, S_df, T_df, part, EPS, DIMS)
+    finally:
+        sc._jsc.clearJobGroup()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
 class TestTpchDateBandJoin:
