@@ -3,10 +3,7 @@
 Times only the optimizers (``recpart`` and ``build_csio`` on pre-drawn
 samples, as the tables' opt-time column does) on fixed workloads in two
 source trees: this checkout's ``src`` and a ``--base`` tree (an unpacked
-copy of the parent commit). Each tree runs in its own subprocess, so
-both import their own ``repro``; ``--rounds`` subprocesses per tree run
-in alternating order, ``--repeat`` timed runs each, and a case keeps
-its best time.
+copy of the parent commit).
 
 Besides the times, every case records a digest of what the optimizer
 produced, and the two trees' digests must match:
@@ -19,7 +16,8 @@ produced, and the two trees' digests must match:
 * both: the routing, ``assign`` of the full S and of the full T
   (row, task) under the partitioning returned.
 
-Usage (from the repository root)::
+The paired runs and the report are :mod:`paired`'s. Usage (from the
+repository root)::
 
     git archive <parent> | tar -x -C /path/to/parent
     python jobs/bench_optimizers.py --base /path/to/parent/src \\
@@ -29,18 +27,9 @@ Without ``--base`` only this checkout is timed.
 """
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import platform
-import subprocess
-import sys
-import time
-
 import numpy as np
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+from paired import best_time, digest, main
 
 #: (name, inputs, eps per dimension, d, w); inputs are built by ``_inputs``
 INPUTS = [
@@ -74,13 +63,6 @@ def _inputs(kind: str):
     return X.pareto_inputs(12_500, 1.5, 3, seed=1)
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray) else repr(p).encode())
-    return h.hexdigest()
-
-
 def _routing(part, S, T) -> list:
     """``(idx, task)`` of ``part.assign`` on all of S, then of T."""
     return [*part.assign(S, "S"), *part.assign(T, "T")]
@@ -110,7 +92,7 @@ def _recpart_digest(run, S, T) -> str:
             stack += [n.right, n.left]
     objs = [float(h["obj"]) for h in res.history]
     part = res.partitioning
-    return _digest([splits, nodes, part.task_to_worker, res.n_iters, objs, *_routing(part, S, T)])
+    return digest([splits, nodes, part.task_to_worker, res.n_iters, objs, *_routing(part, S, T)])
 
 
 def _csio_digest(run, S, T) -> str:
@@ -132,7 +114,7 @@ def _csio_digest(run, S, T) -> str:
         part = run()
     finally:
         csio.StripePartitioning = base
-    return _digest([*seen[0], *_routing(part, S, T)])
+    return digest([*seen[0], *_routing(part, S, T)])
 
 
 def worker(repeat: int, only: set[str] | None) -> dict:
@@ -156,7 +138,7 @@ def worker(repeat: int, only: set[str] | None) -> dict:
             if method == "csio":
                 def run():
                     return build_csio(S, T, eps, w, cost_model=cm, samples=samples, seed=0)
-                digest = _csio_digest(run, S, T)
+                dig = _csio_digest(run, S, T)
                 case = f"{name}/csio"
             else:
                 def run():
@@ -164,72 +146,13 @@ def worker(repeat: int, only: set[str] | None) -> dict:
                         S, T, eps, w, symmetric=(method == "recpart"), termination=term,
                         cost_model=cm, seed=0, samples=samples,
                     )
-                digest = _recpart_digest(run, S, T)
+                dig = _recpart_digest(run, S, T)
                 case = f"{name}/{method}/{term}"
-            secs = []
-            if method in TIMED:
-                for _ in range(repeat):
-                    t0 = time.perf_counter()
-                    run()
-                    secs.append(time.perf_counter() - t0)
-            out[case] = {"digest": digest, "best_s": min(secs) if secs else None}
+            best = best_time(run, repeat) if method in TIMED else None
+            out[case] = {"digest": dig, "best_s": best}
     return out
 
 
-def _run_tree(src: str, repeat: int, only: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--repeat", str(repeat)]
-    for name in only:
-        cmd += ["--only", name]
-    got = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-    return json.loads(got.stdout)
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", help="src directory of the parent tree")
-    ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and round")
-    ap.add_argument("--rounds", type=int, default=3, help="worker processes per tree")
-    ap.add_argument("--only", action="append", default=[], help="input name (repeatable)")
-    ap.add_argument("--out", default="BENCH_optimizers.json")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.worker:
-        print(json.dumps(worker(args.repeat, set(args.only))))
-        return
-    # rounds alternate which tree goes first; a case keeps its best time
-    change, base = {}, {}
-    trees = [(SRC, change)] + ([(args.base, base)] if args.base else [])
-    for r in range(args.rounds):
-        for src, into in trees[:: 1 if r % 2 == 0 else -1]:
-            for case, got in _run_tree(src, args.repeat, args.only).items():
-                if case in into:
-                    assert into[case]["digest"] == got["digest"], f"{case} differs between rounds"
-                    if got["best_s"] is not None:
-                        got["best_s"] = min(got["best_s"], into[case]["best_s"])
-                into[case] = got
-    cases = []
-    for case, got in change.items():
-        row = {"case": case, "change_s": got["best_s"]}
-        if case in base:
-            row["base_s"] = base[case]["best_s"]
-            row["identical"] = base[case]["digest"] == got["digest"]
-            if got["best_s"]:
-                row["speedup"] = round(row["base_s"] / got["best_s"], 2)
-        cases.append(row)
-        print(json.dumps(row))
-    report = {
-        "layer": "optimization (recpart / build_csio on pre-drawn samples, seed 0)",
-        "timing": f"best of {args.repeat} runs in each of {args.rounds} alternating rounds, seconds",
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version(), "numpy": np.__version__},
-        "all_identical": all(r.get("identical", True) for r in cases) if base else None,
-        "cases": cases,
-    }
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-
-
 if __name__ == "__main__":
-    main()
+    main(__doc__, worker, "optimization (recpart / build_csio on pre-drawn samples, seed 0)",
+         "BENCH_optimizers.json")

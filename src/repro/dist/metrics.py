@@ -19,15 +19,72 @@ success (Section 2):
 This is the measurement substrate for every reproduced table: the
 quantities are exact combinatorial properties of ``h``, identical to
 what the paper measures on its EMR cluster, independent of hardware.
+
+The per-task local joins are independent (Section 6.1: a worker joins
+only the tuples it received), so they run on all usable CPUs, as
+morsel-driven parallelism at task granularity:
+
+* **Groups.** The tasks are cut into contiguous task-id ranges holding
+  about equal numbers of S+T copies: :data:`GROUPS_PER_THREAD` ranges
+  per thread, so that a thread that finishes early takes another, but
+  none with fewer than :data:`GROUP_MIN_COPIES` copies, and one on a
+  one-CPU machine. Each range gathers its own rows, ``S_pts[si[a]]``
+  and ``T_pts[ti[b]]`` for its copies ``a`` and ``b``, and runs one
+  :func:`band_join_tasks` call on them; its per-copy counts are summed
+  into its own slice of the per-task output.
+* **Identical counts.** Every copy belongs to exactly one task and every
+  task to exactly one range, so a range's call sees all of its tasks'
+  copies and nothing else, and finds the same pairs as one call over
+  all tasks (its candidate path may differ; both paths give the same
+  pairs). The counts are integers, so per-task output, ``O_total``, the
+  LPT reschedule and every :class:`EvalResult` field are bit-identical
+  for any number of ranges.
+* **Threads.** ``len(os.sched_getaffinity(0))`` threads take ranges
+  until none is left: the calling thread and a module-level
+  :class:`ThreadPoolExecutor` of one thread per further CPU. The pool is
+  made on the first evaluation that splits, never at import: Spark's
+  Python worker daemon imports this package's operator and then forks
+  its workers, and a forked child drops the pool it inherited (its
+  threads do not exist there). numpy releases the GIL in the join's
+  sorts, searches, gathers and filter ufuncs. No pool task submits to
+  the pool, and a caller never waits for a pool task that has not
+  started, so concurrent callers share it safely.
+* **Memory.** The full ``S_pts[si]`` / ``T_pts[ti]`` copies are never
+  built; each thread holds one range's rows and join temporaries at a
+  time. glibc gives each pool thread its own malloc arena, which keeps
+  the high-water mark of the largest range that thread ran. Evaluating
+  ``bandbench``'s three ``baselines3d`` partitionings three times each
+  under its malloc settings grew the process's peak RSS by 9.2 MB in
+  one call over all tasks and by 16.1 MB on 4 threads (10.6 MB at 4
+  ranges per thread, 5.9 MB on 2 threads at 4 per thread), 4-core VM.
 """
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .local_join import band_join_tasks
 from .partitioning import Partitioning, lpt_schedule
+
+#: task-id ranges per thread. On 4 threads (medians, 4-core VM, the
+#: benchmark's malloc settings), the simulation of RecPart on pareto-1.5
+#: d=3 100k at eps = 140 took 0.67-0.69 s at 2 per thread against
+#: 0.89 s at 1 and 0.68-0.75 s at 4; one call over all tasks took 1.5 s
+GROUPS_PER_THREAD = 2
+#: fewest S+T copies per range: a range's call has a fixed cost, and the
+#: threads contend for the GIL between numpy calls. ``baselines3d``'s
+#: CS_IO simulation (44k copies) took 32-37 ms in 8 ranges and 26-28 ms
+#: in the 5 this allows (42-50 ms in one call)
+GROUP_MIN_COPIES = 1 << 13
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass
@@ -72,9 +129,6 @@ def evaluate_partitioning(
     eps,
     beta2: float = 4.0,
     beta3: float = 1.0,
-    s_ids: np.ndarray | None = None,
-    t_ids: np.ndarray | None = None,
-    count_output: bool = True,
     reschedule: bool = True,
 ) -> EvalResult:
     """Apply ``part`` to the full input and measure it exactly.
@@ -95,25 +149,26 @@ def evaluate_partitioning(
     if T_pts.ndim == 1:
         T_pts = T_pts[:, None]
     w = part.w
-    if s_ids is None:
-        s_ids = np.arange(len(S_pts), dtype=np.int64)
-    if t_ids is None:
-        t_ids = np.arange(len(T_pts), dtype=np.int64)
 
-    si, st = part.assign(S_pts, "S", ids=s_ids)
-    ti, tt = part.assign(T_pts, "T", ids=t_ids)
-
-    per_task_out = np.zeros(part.n_tasks)
-    O_total = 0
-    if count_output and len(si) and len(ti):
-        counts_per_s, O_total = band_join_tasks(
-            st, S_pts[si], tt, T_pts[ti], eps
-        )
-        per_task_out = np.bincount(st, weights=counts_per_s, minlength=part.n_tasks)
+    si, st = part.assign(S_pts, "S", ids=np.arange(len(S_pts), dtype=np.int64))
+    ti, tt = part.assign(T_pts, "T", ids=np.arange(len(T_pts), dtype=np.int64))
 
     per_task_in = np.bincount(st, minlength=part.n_tasks) + np.bincount(
         tt, minlength=part.n_tasks
     )
+    per_task_out = np.zeros(part.n_tasks)
+    O_total = 0
+    if len(si) and len(ti):
+        edges = _task_ranges(per_task_in, _n_groups(len(si) + len(ti))).tolist()
+        ranges = list(zip(edges, edges[1:]))
+
+        def join(lo: int, hi: int):
+            return _join_range(lo, hi, S_pts, si, st, T_pts, ti, tt, eps)
+
+        for (lo, hi), (out, total) in zip(ranges, _map_threads(join, ranges)):
+            per_task_out[lo:hi] = out
+            O_total += total
+
     if reschedule:
         t2w = lpt_schedule(beta2 * per_task_in + beta3 * per_task_out, w)
     else:
@@ -144,3 +199,87 @@ def evaluate_partitioning(
         worker_output=worker_output,
     )
 
+
+def _task_ranges(copies: np.ndarray, n_groups: int) -> np.ndarray:
+    """Edges ``e`` of at most ``n_groups`` contiguous task-id ranges
+    ``[e[g], e[g+1])`` that split the per-task ``copies`` about evenly."""
+    cum = np.cumsum(copies)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n_groups) / n_groups) + 1
+    return np.unique(np.concatenate([[0], cuts, [len(copies)]]))
+
+
+def _join_range(lo, hi, S_pts, si, st, T_pts, ti, tt, eps) -> tuple[np.ndarray, int]:
+    """Output per task of tasks ``lo..hi-1`` and their total: one local
+    join over the copies ``(si, st)`` and ``(ti, tt)`` of those tasks."""
+    a = (st >= lo) & (st < hi)
+    b = (tt >= lo) & (tt < hi)
+    task_s = st[a]
+    counts, total = band_join_tasks(task_s, S_pts[si[a]], tt[b], T_pts[ti[b]], eps)
+    return np.bincount(task_s - lo, weights=counts, minlength=hi - lo), total
+
+
+def _threads() -> int:
+    """Threads an evaluation runs on: the CPUs this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+def _n_groups(copies: int) -> int:
+    """Task-id ranges for ``copies`` S+T copies: :data:`GROUPS_PER_THREAD`
+    per thread (one on a one-CPU machine), but none under
+    :data:`GROUP_MIN_COPIES` copies."""
+    threads = _threads()
+    groups = 1 if threads == 1 else GROUPS_PER_THREAD * threads
+    return max(1, min(groups, copies // GROUP_MIN_COPIES))
+
+
+def _map_threads(fn: Callable, args: list[tuple]) -> list:
+    """``[fn(*a) for a in args]``, computed by the calling thread and
+    up to ``_threads() - 1`` pool threads, each taking the next
+    undone ``a`` until none is left. An exception raised by any of them
+    is re-raised once all have stopped."""
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(args)):
+        todo.put(i)
+    out: list = [None] * len(args)
+
+    def drain() -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            out[i] = fn(*args[i])
+
+    helpers = min(_threads(), len(args)) - 1
+    futures = [_get_pool().submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # every ``a`` is taken, so a helper not started yet has nothing
+        # to do; wait for the others, even on an exception
+        for f in futures:
+            f.cancel()
+        wait(futures)
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+    return out
+
+
+def _get_pool() -> ThreadPoolExecutor:
+    """The simulator's helper threads, one per usable CPU but the
+    caller's, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_threads() - 1, thread_name_prefix="simulate")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)

@@ -72,7 +72,7 @@ class TestBehaviour:
         Is = []
         for spb in (60, 300, 2000):
             part = IEJoinPartitioning(S, T, eps, 30, spb, seed=0)
-            ev = evaluate_partitioning(part, S, T, eps, count_output=False)
+            ev = evaluate_partitioning(part, S, T, eps)
             Is.append(ev.I)
         assert max(Is) > 1.15 * min(Is)
 
