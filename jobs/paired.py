@@ -61,14 +61,14 @@ def _run_tree(script: str, src: str, repeat: int, only: list[str]) -> dict:
     return json.loads(got.stdout)
 
 
-def main(doc: str, worker: Worker, layer: str, out: str, repeat: int = 5, rounds: int = 3) -> None:
+def main(doc: str, worker: Worker, layer: str, out: str) -> None:
     """Command line of a paired benchmark script whose docstring is ``doc``;
     ``layer`` describes what it times in the report, ``out`` is the
     default report file."""
     ap = argparse.ArgumentParser(description=doc.split("\n")[0])
     ap.add_argument("--base", help="src directory of the parent tree")
-    ap.add_argument("--repeat", type=int, default=repeat, help="timed runs per case and round")
-    ap.add_argument("--rounds", type=int, default=rounds, help="worker processes per tree")
+    ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and round")
+    ap.add_argument("--rounds", type=int, default=3, help="worker processes per tree")
     ap.add_argument("--only", action="append", default=[], help="input name (repeatable)")
     ap.add_argument("--out", default=out)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)

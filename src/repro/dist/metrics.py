@@ -44,19 +44,20 @@ morsel-driven parallelism at task granularity:
   :class:`ThreadPoolExecutor` of one thread per further CPU. The pool is
   made on the first evaluation that splits, never at import: Spark's
   Python worker daemon imports this package's operator and then forks
-  its workers, and a forked child drops the pool it inherited (its
-  threads do not exist there). numpy releases the GIL in the join's
-  sorts, searches, gathers and filter ufuncs. No pool task submits to
-  the pool, and a caller never waits for a pool task that has not
-  started, so concurrent callers share it safely.
+  its workers, which must not inherit a pool whose threads do not exist
+  in them. numpy releases the GIL in the join's sorts, searches, gathers
+  and filter ufuncs. No pool task submits to the pool, so concurrent
+  callers share it safely.
 * **Memory.** The full ``S_pts[si]`` / ``T_pts[ti]`` copies are never
   built; each thread holds one range's rows and join temporaries at a
   time. glibc gives each pool thread its own malloc arena, which keeps
-  the high-water mark of the largest range that thread ran. Evaluating
-  ``bandbench``'s three ``baselines3d`` partitionings three times each
-  under its malloc settings grew the process's peak RSS by 9.2 MB in
-  one call over all tasks and by 16.1 MB on 4 threads (10.6 MB at 4
-  ranges per thread, 5.9 MB on 2 threads at 4 per thread), 4-core VM.
+  the high-water mark of the largest range that thread ran; the calling
+  thread adds none. Evaluating ``bandbench``'s
+  three ``baselines3d`` partitionings three times each under its malloc
+  settings grew the process's peak RSS by 9.2 MB in one call over all
+  tasks, by 16.1 MB on 4 threads (10.6 MB at 4 ranges per thread,
+  5.9 MB on 2 threads at 4 per thread) and by 21.6-22.0 MB when 4 pool
+  threads ran the ranges while the caller waited, 4-core VM.
 """
 from __future__ import annotations
 
@@ -234,9 +235,10 @@ def _n_groups(copies: int) -> int:
 
 def _map_threads(fn: Callable, args: list[tuple]) -> list:
     """``[fn(*a) for a in args]``, computed by the calling thread and
-    up to ``_threads() - 1`` pool threads, each taking the next
-    undone ``a`` until none is left. An exception raised by any of them
-    is re-raised once all have stopped."""
+    up to ``_threads() - 1`` pool threads, each taking the next undone
+    ``a`` until none is left. The caller works rather than waiting on
+    ``pool.map``: a pool of ``_threads()`` threads keeps one more malloc
+    arena (see the module docstring)."""
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
     for i in range(len(args)):
         todo.put(i)
@@ -250,19 +252,13 @@ def _map_threads(fn: Callable, args: list[tuple]) -> list:
                 return
             out[i] = fn(*args[i])
 
-    helpers = min(_threads(), len(args)) - 1
-    futures = [_get_pool().submit(drain) for _ in range(helpers)]
+    helpers = [_get_pool().submit(drain) for _ in range(min(_threads(), len(args)) - 1)]
     try:
         drain()
     finally:
-        # every ``a`` is taken, so a helper not started yet has nothing
-        # to do; wait for the others, even on an exception
-        for f in futures:
-            f.cancel()
-        wait(futures)
-    for f in futures:
-        if not f.cancelled():
-            f.result()
+        wait(helpers)
+    for f in helpers:
+        f.result()
     return out
 
 
@@ -274,12 +270,3 @@ def _get_pool() -> ThreadPoolExecutor:
         if _pool is None:
             _pool = ThreadPoolExecutor(_threads() - 1, thread_name_prefix="simulate")
         return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)

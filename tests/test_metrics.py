@@ -296,6 +296,21 @@ class TestPool:
         # the pool still serves later evaluations
         _assert_any_group_count_identical(part, S, T, eps)
 
+    def test_exception_in_a_pool_thread_propagates(self):
+        caller, helper_ran = threading.current_thread(), threading.Event()
+
+        def fn(i):
+            if threading.current_thread() is caller:
+                # let a pool thread take a range before the caller takes them all
+                assert helper_ran.wait(10)
+                return i
+            helper_ran.set()
+            raise RuntimeError("boom")
+
+        with mock.patch.object(metrics, "_threads", lambda: 4):
+            with pytest.raises(RuntimeError, match="boom"):
+                metrics._map_threads(fn, [(i,) for i in range(8)])
+
     def test_concurrent_callers_get_the_serial_result(self):
         S, T, eps = _make("pareto3d", n=3000)
         parts = [OneBucketPartitioning(len(S), len(T), 6, seed=0),
