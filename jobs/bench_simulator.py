@@ -9,13 +9,17 @@ settings (``draw_samples`` seed 0, theoretical termination, w = 30):
   per relation, ε = 35, generator seed 1 (the ``bandbench`` workload);
 * ebird×cloud and pareto-1.5 d=3 100k at ε = 140: RecPart;
 * one Grid* sweep (``grid_star``, which simulates each grid on samples)
-  on Table 6's pareto-2.0 d=3 100k at ε = 35, timed as a whole.
+  on Table 6's pareto-2.0 d=3 100k at ε = 35, timed as a whole;
+* ``baselines3d/grid_eps.build``: not the simulator but what its
+  Grid-ε case is given, ``GridPartitioning(S, T, ε, ε, 30)`` and both
+  of its ``assign`` calls.
 
 A case's digest covers every field of every ``EvalResult`` it produced
-(``worker_input`` and ``worker_output`` included) and, for the sweep,
-the chosen j and the (j, predicted time) trace; the two trees' digests
-must match. The paired runs and the report are :mod:`paired`'s. Usage
-(from the repository root)::
+(``worker_input`` and ``worker_output`` included), for the sweep the
+chosen j and the (j, predicted time) trace, and for the Grid-ε build
+``n_tasks``, both assignments and ``task_to_worker``; the two trees'
+digests must match. The paired runs and the report are
+:mod:`paired`'s. Usage (from the repository root)::
 
     git archive <parent> | tar -x -C /path/to/parent
     python jobs/bench_simulator.py --base /path/to/parent/src \\
@@ -33,7 +37,7 @@ from paired import best_time, digest, main
 
 #: (name, inputs, eps per dimension, d, methods); w = 30 throughout
 INPUTS = [
-    ("baselines3d", "baselines3d", 35.0, 3, ("csio", "one_bucket", "grid_eps")),
+    ("baselines3d", "baselines3d", 35.0, 3, ("csio", "one_bucket", "grid_eps", "grid_eps.build")),
     ("ebird_cloud", "ebird", 2.0, 3, ("recpart",)),
     ("pareto_d3_100k", "pareto3", 140.0, 3, ("recpart",)),
     ("pareto2_d3_100k", "pareto3_z2", 35.0, 3, ("grid_star",)),
@@ -81,7 +85,7 @@ def _sweep_digest(run) -> str:
 
 def worker(repeat: int, only: set[str] | None) -> dict:
     """Time and digest every case in the tree on ``sys.path``."""
-    from repro.baselines.grid_eps import grid_star
+    from repro.baselines.grid_eps import GridPartitioning, grid_star
     from repro.core.cost_model import CostModel
     from repro.core.sampling import draw_samples
     from repro.dist.metrics import evaluate_partitioning
@@ -100,6 +104,12 @@ def worker(repeat: int, only: set[str] | None) -> dict:
                 def run():
                     return grid_star(S, T, eps, W, cost_model=cm, seed=0)
                 dig = _sweep_digest(run)
+            elif method == "grid_eps.build":
+                def run():
+                    part = GridPartitioning(S, T, eps, eps, W)
+                    return part, part.assign(S, "S"), part.assign(T, "T")
+                part, s_assign, t_assign = run()
+                dig = digest([part.n_tasks, *s_assign, *t_assign, part.task_to_worker])
             else:
                 part, _, _ = build_partitioning(
                     method, S, T, eps, W, cm, seed=0, termination="theoretical", samples=samples

@@ -21,6 +21,8 @@ minimum.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.cost_model import CostModel
@@ -145,14 +147,28 @@ class GridPartitioning(Partitioning):
     input at construction (metric bookkeeping, not optimization — the
     grid itself needs no statistics, which is Grid-eps's selling point).
 
-    Task ids are the occupied cells' ranks in lexicographic order, built
-    one dimension at a time: after dimension i, a row's key is the rank
-    of its prefix ``(c_0..c_i)`` among the occupied prefixes, computed as
-    the rank of ``key * R_i + (c_i - lo_i)`` where ``[lo_i, lo_i + R_i)``
-    is the dimension's occupied cell range. Re-ranking keeps every key
-    below ``n_tasks``, so the mixed-radix step cannot overflow where a
-    raw ``prod(R_i)`` key would (d=8 spans reach 10^20 and more), and
-    the key stays exact: no two cells share a task.
+    Task ids are the occupied cells' ranks in lexicographic order. A
+    cell is keyed by its offsets ``c_i - lo_i`` in the occupied box
+    ``[lo_i, lo_i + R_i)``, packed mixed-radix into int64 *levels*. A
+    level groups as many consecutive dimensions as keep ``n_prefixes *
+    prod(R_i)`` within int64, ``n_prefixes`` being the number of
+    distinct prefixes the levels before it leave (1 for the first). Its
+    key is the prefix's rank times ``prod(R_i)`` plus the packed
+    offsets, and its sorted distinct keys rank the prefixes. A
+    mixed-radix key orders cells as their rows do, so the last level's
+    ranks are the rows' lexicographic ranks and no two cells share a
+    task. Pareto d <= 3 inputs, the benchmark's among them, fit one
+    level, built by one sort; at d = 8 the spans' product overflows
+    int64 (10^20 and more), and re-ranking between levels keeps every
+    key in range.
+
+    :meth:`_lookup` packs a cell once per level and finds it with one
+    binary search per level. It checks every dimension against the box
+    first: a cell outside it can pack onto an occupied cell's key
+    (``(0, R_1)`` packs as ``(1, 0)``), and raises ``KeyError`` like any
+    absent cell. ``task_to_worker``, a hash of the decoded cells, is
+    computed on first read: the simulator's default LPT reschedule never
+    reads it, the Spark operator and ``reschedule=False`` do.
     """
 
     def __init__(
@@ -182,44 +198,68 @@ class GridPartitioning(Partitioning):
         _, ct = expand_t_cells(T_pts.astype(float), self.eps, self.cell, self.origin)
         rows = np.vstack([cs, ct])
         d = rows.shape[1]
-        self._lo = rows.min(axis=0) if len(rows) else np.zeros(d, np.int64)
-        self._radix = rows.max(axis=0) - self._lo + 1 if len(rows) else np.ones(d, np.int64)
-        # _levels[i]: sorted distinct prefix keys after dimension i
-        self._levels: list[np.ndarray] = []
-        key = np.zeros(len(rows), np.int64)
-        for i in range(d):
-            n_prefixes = len(self._levels[-1]) if i else 1
-            if n_prefixes * int(self._radix[i]) > 2**63:
+        # one column at a time: numpy reduces an (n, d) array over axis 0
+        # several times slower
+        if len(rows):
+            self._lo = np.array([rows[:, i].min() for i in range(d)])
+            self._radix = np.array([rows[:, i].max() for i in range(d)]) - self._lo + 1
+        else:  # an empty box, outside which every cell lies
+            self._lo, self._radix = np.zeros(d, np.int64), np.zeros(d, np.int64)
+        # _levels: (first dimension, end dimension, sorted distinct keys)
+        self._levels: list[tuple[int, int, np.ndarray]] = []
+        key, a = 0, 0
+        while a < d:
+            n_keys = (len(self._levels[-1][2]) if a else 1) * int(self._radix[a])
+            if n_keys > 2**63:
                 raise ValueError("Grid-eps cell key would overflow int64")
-            level, key = np.unique(
-                key * self._radix[i] + (rows[:, i] - self._lo[i]), return_inverse=True
-            )
-            self._levels.append(level)
-        self.n_tasks = len(self._levels[-1])
-        self._cells = self._decode()
-        self.task_to_worker = _mix_rows(self._cells, self.w, seed)
+            b = a + 1
+            while b < d and n_keys * int(self._radix[b]) <= 2**63:
+                n_keys *= int(self._radix[b])
+                b += 1
+            packed = self._pack(key, rows, a, b)
+            if b < d:
+                level, key = np.unique(packed, return_inverse=True)
+            else:
+                level = np.unique(packed)
+            self._levels.append((a, b, level))
+            a = b
+        self.n_tasks = len(self._levels[-1][2])
+
+    @functools.cached_property
+    def task_to_worker(self) -> np.ndarray:
+        return _mix_rows(self._decode(), self.w, self.seed)
+
+    def _pack(self, key, cells: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Level keys of cell rows whose prefixes rank ``key``, from
+        their offsets in the box in dimensions a..b-1."""
+        for i in range(a, b):
+            key = key * self._radix[i] + (cells[:, i] - self._lo[i])
+        return key
 
     def _decode(self) -> np.ndarray:
         """Cell coordinate rows of tasks 0..n_tasks-1 (lexicographic)."""
-        cells = np.empty((self.n_tasks, len(self._levels)), np.int64)
+        cells = np.empty((self.n_tasks, len(self._lo)), np.int64)
         prefix = np.arange(self.n_tasks)
-        for i in range(len(self._levels) - 1, -1, -1):
-            packed = self._levels[i][prefix]
-            cells[:, i] = self._lo[i] + packed % self._radix[i]
-            prefix = packed // self._radix[i]
+        for a, b, level in reversed(self._levels):
+            packed = level[prefix]
+            for i in range(b - 1, a - 1, -1):
+                cells[:, i] = self._lo[i] + packed % self._radix[i]
+                packed //= self._radix[i]
+            prefix = packed
         return cells
 
     def _lookup(self, cells: np.ndarray) -> np.ndarray:
         """Map cell coordinate rows to task ids (rows must be occupied)."""
-        key = np.zeros(len(cells), np.int64)
-        for i, level in enumerate(self._levels):
+        for i in range(cells.shape[1]):
             c = cells[:, i]
-            inside = (c >= self._lo[i]) & (c < self._lo[i] + self._radix[i])
-            packed = key * self._radix[i] + np.where(inside, c - self._lo[i], 0)
+            if not ((c >= self._lo[i]) & (c < self._lo[i] + self._radix[i])).all():
+                raise KeyError("assign() saw a grid cell absent from construction data")
+        key = 0
+        for a, b, level in self._levels:
+            packed = self._pack(key, cells, a, b)
             key = np.searchsorted(level, packed)
-            found = inside & (key < len(level))
-            found[found] = level[key[found]] == packed[found]
-            if not found.all():
+            # past the last key, take() clips onto it, which is smaller
+            if not np.array_equal(level.take(key, mode="clip"), packed):
                 raise KeyError("assign() saw a grid cell absent from construction data")
         return key
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines.grid_eps import (
     GridPartitioning,
+    _mix_rows,
     expand_t_cells,
     expansion_count,
     grid_eps_analytic,
@@ -237,25 +238,59 @@ class TestGridPartitioning:
         assert len(coarse.assign(T, "T")[0]) < len(fine.assign(T, "T")[0])
 
 
+def _cell_key_input(name: str):
+    """(S, T, eps): pareto inputs, or 300 integer points per relation
+    spread over [0, 2^40) per dimension ("wide"), where eps = cell = 1
+    makes every dimension span about 2^40 cells."""
+    kind, d = name.split("_d")
+    d = int(d)
+    if kind == "pareto":
+        n, e = (400, 400.0) if d == 8 else (500, 60.0)
+        return pareto_points(n, 1.5, d, seed=1), pareto_points(n, 1.5, d, seed=2), e
+    rng = np.random.default_rng(d)
+    S, T = (np.floor(rng.random((300, d)) * 2.0**40) for _ in "ST")
+    return S, T, 1.0
+
+
 class TestCellKey:
-    def test_task_ids_equal_lexicographic_row_ranks_at_d8(self):
-        # d=8: the product of the per-dimension cell spans overflows int64,
-        # so a raw mixed-radix key could not index these cells
-        S = pareto_points(400, 1.5, 8, seed=1)
-        T = pareto_points(400, 1.5, 8, seed=2)
-        eps = np.full(8, 400.0)
-        part = GridPartitioning(S, T, eps, eps, 30)
+    # pareto d <= 3 fits one int64 key level; the spans of d = 8 and of
+    # the wide inputs overflow int64
+    @pytest.mark.parametrize(
+        "name, n_levels",
+        [("pareto_d1", 1), ("pareto_d2", 1), ("pareto_d3", 1), ("pareto_d8", 2),
+         ("wide_d2", 2), ("wide_d3", 3)],
+    )
+    def test_task_ids_equal_lexicographic_row_ranks(self, name, n_levels):
+        S, T, e = _cell_key_input(name)
+        eps = np.full(S.shape[1], e)
+        part = GridPartitioning(S, T, eps, eps, 30, seed=7)
         cs = np.floor((S - part.origin) / part.cell).astype(np.int64)
         _, ct = expand_t_cells(T, eps, eps, part.origin)
         rows = np.vstack([cs, ct])
-        spans = rows.max(axis=0) - rows.min(axis=0) + 1
-        assert math.prod(int(x) for x in spans) > 2**63
+        spans = math.prod(int(x) for x in rows.max(axis=0) - rows.min(axis=0) + 1)
+        # one level exactly when the spans' product fits int64
+        assert len(part._levels) == n_levels
+        assert (spans <= 2**63) == (n_levels == 1)
         want_cells, want_ids = np.unique(rows, axis=0, return_inverse=True)
         assert part.n_tasks == len(want_cells)
-        assert np.array_equal(part._cells, want_cells)
+        assert np.array_equal(part._decode(), want_cells)
         _, st = part.assign(S, "S")
         _, tt = part.assign(T, "T")
         assert np.array_equal(np.concatenate([st, tt]), want_ids.ravel())
+        assert np.array_equal(part.task_to_worker, _mix_rows(want_cells, 30, 7))
+
+    @pytest.mark.parametrize("side", ["S", "T"])
+    def test_cell_past_the_box_raises(self, side):
+        # the four cells of these points fill a 2 x 2 box, and eps keeps
+        # each T copy in its own cell. Offsets (0, 2) pack as (1, 0), an
+        # occupied cell: only the per-dimension box check rejects them
+        pts = np.array([[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5]])
+        eps = np.full(2, 0.25)
+        part = GridPartitioning(pts, pts, eps, np.ones(2), 4)
+        assert part.n_tasks == 4 and np.array_equal(part._radix, [2, 2])
+        assert len(part.assign(np.array([[1.5, 0.5]]), side)[0]) == 1
+        with pytest.raises(KeyError):
+            part.assign(np.array([[0.5, 2.5]]), side)
 
 
 class TestLemmas:
